@@ -42,13 +42,10 @@ class TestModelBasics:
 
     def test_deterministic(self, suite, name):
         benchmark = suite[name]
-        config = benchmark.space.sample_one(rng=3)
-        try:
-            a = benchmark.model.time_ms(config, RTX_3090)
-            b = benchmark.model.time_ms(config, RTX_3090)
-        except ResourceLimitError:
-            pytest.skip("sampled configuration not launchable")
-        assert a == b
+        launchable = _sample_valid(benchmark, RTX_3090)
+        assert launchable, "no launchable configuration sampled"
+        config, first = launchable[0]
+        assert benchmark.model.time_ms(config, RTX_3090) == first
 
     def test_noise_is_small_and_multiplicative(self, suite, name):
         benchmark = suite[name]

@@ -97,6 +97,18 @@ class TestDecisionTree:
         with pytest.raises(ValueError):
             DecisionTreeRegressor(max_depth=0)
 
+    def test_gain_booked_only_for_splits_made(self):
+        # The weighted split search accepts the split after x=2 (left weight 3, right
+        # weight 5), but the right child keeps a single sample, under min_samples_leaf:
+        # the node stays a leaf, and a split not made must not count as importance.
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0.0, 0.0, 0.0, 10.0])
+        w = np.array([1.0, 1.0, 1.0, 5.0])
+        tree = DecisionTreeRegressor(max_depth=1, min_samples_leaf=2).fit(X, y, w)
+        assert tree.node_count == 1
+        np.testing.assert_array_equal(tree.feature_gains_, [0.0])
+        np.testing.assert_array_equal(tree.feature_importances_, [0.0])
+
     def test_predict_shape_check(self):
         X, y = _make_regression(n=50)
         tree = DecisionTreeRegressor().fit(X, y)
