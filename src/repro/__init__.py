@@ -12,8 +12,7 @@ The package provides:
   implementation.
 * :mod:`repro.tuners` -- the optimizer portfolio implementing the shared ask/tell
   interface (random, grid, local search, simulated annealing, genetic, differential
-  evolution, particle swarm, surrogate-model search) plus the external-tuner adapter
-  protocol.
+  evolution, particle swarm, surrogate-model search).
 * :mod:`repro.ml` -- gradient-boosted regression trees, metrics and permutation feature
   importance (the CatBoost substitute used for the paper's Fig. 6).
 * :mod:`repro.graph` -- fitness-flow graph, PageRank and the proportion-of-centrality

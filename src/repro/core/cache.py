@@ -524,12 +524,10 @@ class EvaluationCache:
     def to_problem(self, strict: bool = True, memoize: bool = True) -> TuningProblem:
         """A :class:`TuningProblem` that answers evaluations from this cache.
 
-        The problem carries both objective forms: the dictionary ``evaluate_fn``
-        (key the dict store) and the index-native ``evaluate_index_fn`` (one probe of
-        :meth:`index_table`, no dictionary, no hashing of sorted item tuples).  The
-        two are element-wise equivalent by construction -- same values, same
-        miss/failure semantics, same :class:`CacheMissError` message -- so a tuner
-        may drive either path and record identical observations.
+        The objective is index-native: one probe of :meth:`index_table` per
+        evaluation, no dictionary, no hashing of sorted item tuples.  Configuration
+        evaluations reach it through :meth:`TuningProblem.evaluate`'s encoding, and
+        the side-effect-free peeks answer from the same table.
 
         Parameters
         ----------
@@ -538,17 +536,6 @@ class EvaluationCache:
             :class:`CacheMissError` (and therefore appear as invalid observations).
             If False, missing configurations are treated as invalid silently.
         """
-        def _evaluate(config: Mapping[str, Any]) -> float:
-            obs = self.get(config)
-            if obs is None:
-                if strict:
-                    raise CacheMissError(
-                        f"configuration not present in {self.benchmark}/{self.gpu} cache")
-                return math.inf
-            if obs.is_failure:
-                return math.inf
-            return obs.value
-
         def _evaluate_index(index: int) -> float:
             value, failure, found = self.index_table().lookup_one(index)
             if not found:
@@ -585,7 +572,7 @@ class EvaluationCache:
                 return math.inf, True, False
             return value, value <= 0, False
 
-        return TuningProblem(name=self.benchmark, space=self.space, evaluate_fn=_evaluate,
+        return TuningProblem(name=self.benchmark, space=self.space,
                              gpu=self.gpu, memoize=memoize,
                              evaluate_index_fn=_evaluate_index,
                              peek_index_fn=_peek_indices,

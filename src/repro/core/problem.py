@@ -11,27 +11,25 @@ configuration space and kernel handler classes providing for easy integration" (
 any optimizer that can consume a :class:`TuningProblem` can tune every benchmark in the
 suite, and any benchmark that can produce one can be tuned by every optimizer.
 
-The ``evaluate_index`` contract
--------------------------------
+One evaluation currency
+-----------------------
+Every evaluation is keyed by the candidate's mixed-radix space index.
 :meth:`TuningProblem.evaluate_index` (and its batch form
-:meth:`TuningProblem.evaluate_indices`) is the index-native fast path of the tuner
-runtime: the candidate is identified by its mixed-radix space index, static validity
-comes from the vectorized constraint mask, the objective is answered by
-``evaluate_index_fn`` where one was supplied (cache replays), and the resulting
+:meth:`TuningProblem.evaluate_indices`) is the evaluation path: static validity
+comes from the vectorized constraint mask, the objective is answered by the
+problem's one index objective, and the resulting
 :class:`~repro.core.result.Observation` carries a lazily-materialised
-:class:`~repro.core.result.LazyConfig`.  The contract with the dictionary path:
+:class:`~repro.core.result.LazyConfig`.  The configuration entry points
+(:meth:`TuningProblem.evaluate`, :meth:`TuningProblem.evaluate_many`) encode with
+:meth:`~repro.core.searchspace.SearchSpace.index_of` and delegate, so
 
-* ``evaluate_index(space.index_of(config))`` and ``evaluate(config)`` produce
-  observations that serialize to identical bytes (same value, validity, error
-  string, evaluation index) whenever the two paths see the problem in the same
-  memoization state;
-* each path keeps its memo in its own currency (canonical config tuples vs
-  integers) for speed, but the memos stay *consistent*: a path that misses its own
-  memo probes the other one -- at zero cost while the other memo is empty, i.e.
-  for every single-path run -- so a configuration evaluated through both paths on
-  one memoized problem is measured exactly once, with one ``evaluation_count``
-  entry, no matter how the paths interleave (portfolios may mix migrated and
-  adapter members on a shared problem).
+* ``evaluate(config)`` and ``evaluate_index(space.index_of(config))`` share one
+  ``int``-keyed memo: a configuration is measured once, with one
+  ``evaluation_count`` entry, whichever entry point reached it first;
+* a configuration that ``index_of`` rejects (a missing or unknown parameter, a
+  value outside its parameter's list) has no index, so it yields an invalid
+  "configuration not a member of the search space" observation that is counted
+  but never memoized.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import numpy as np
 
 from repro.core.errors import ReproError, ResourceLimitError
 from repro.core.result import LazyConfig, Observation
-from repro.core.searchspace import SearchSpace, config_key
+from repro.core.searchspace import SearchSpace
 
 __all__ = ["ObjectiveDirection", "TuningProblem"]
 
@@ -82,10 +80,13 @@ class TuningProblem:
         The constrained search space.
     evaluate_fn:
         Callable mapping a configuration to an objective value (kernel time in
-        milliseconds).  It may raise :class:`ResourceLimitError` (or any
-        ``repro`` exception) for configurations that cannot run on the device; the
-        problem converts those into invalid observations rather than propagating,
-        which is how real autotuners treat failed compilations.
+        milliseconds).  It may raise :class:`ResourceLimitError` (or any other
+        :class:`~repro.core.errors.ReproError`) for configurations that cannot run
+        on the device; the problem converts those into invalid observations rather
+        than propagating, which is how real autotuners treat failed compilations.
+        Any other exception is a bug in the objective and propagates.  Give
+        exactly one of ``evaluate_fn`` and ``evaluate_index_fn``; the problem
+        calls ``evaluate_fn(space.config_at(index))``.
     gpu:
         Device name used for bookkeeping.
     direction:
@@ -94,18 +95,18 @@ class TuningProblem:
         Unit string for reports (default ``"ms"``).
     memoize:
         If True (default), repeated evaluations of the same configuration return the
-        cached observation without consuming another call to ``evaluate_fn``.  This
-        mirrors real tuner caches and makes exhaustive analyses cheap.
+        cached observation without consuming another objective call.  This mirrors
+        real tuner caches and makes exhaustive analyses cheap.
     evaluate_index_fn:
-        Optional index-native objective ``space_index -> value`` used by
-        :meth:`evaluate_index` instead of materialising a configuration dictionary
-        for ``evaluate_fn``.  Must be element-wise equivalent to
-        ``evaluate_fn(space.config_at(index))``, including what it raises (cache
-        replays supply one; see :meth:`repro.core.cache.EvaluationCache.to_problem`).
+        Index-native objective ``space_index -> value``, the alternative to
+        ``evaluate_fn`` that never materialises a configuration dictionary (cache
+        replays supply one; see
+        :meth:`repro.core.cache.EvaluationCache.to_problem`).  It raises and fails
+        under the same rules as ``evaluate_fn``.
     peek_index_fn:
-        Optional *side-effect-free* batch preview of the index objective:
+        Optional *side-effect-free* batch preview of the objective:
         ``index_array -> (values, failure, raises)`` where ``values[k]`` is exactly
-        what ``evaluate_index_fn`` would return for index ``k``, ``failure[k]`` is
+        what the objective would return for index ``k``, ``failure[k]`` is
         True exactly when evaluating it would yield an invalid observation, and
         ``raises[k]`` is True when the objective would raise (so the error string
         cannot be derived from the value alone and the row must evaluate through
@@ -125,39 +126,44 @@ class TuningProblem:
     """
 
     def __init__(self, name: str, space: SearchSpace,
-                 evaluate_fn: Callable[[Mapping[str, Any]], float],
+                 evaluate_fn: Callable[[Mapping[str, Any]], float] | None = None,
                  gpu: str = "", direction: ObjectiveDirection = ObjectiveDirection.MINIMIZE,
                  objective_unit: str = "ms", memoize: bool = True,
                  evaluate_index_fn: Callable[[int], float] | None = None,
                  peek_index_fn: Callable[[Any], tuple[Any, Any]] | None = None,
                  peek_one_fn: Callable[[int], tuple[float, bool, bool]] | None = None):
+        if (evaluate_fn is None) == (evaluate_index_fn is None):
+            raise TypeError("TuningProblem takes exactly one of evaluate_fn and "
+                            "evaluate_index_fn")
+        if evaluate_index_fn is None:
+            config_at = space.config_at
+
+            def evaluate_index_fn(index: int) -> float:
+                return evaluate_fn(config_at(index))
+
         self.name = name
         self.space = space
         self.gpu = gpu
         self.direction = direction
         self.objective_unit = objective_unit
         self.memoize = memoize
-        self._evaluate_fn = evaluate_fn
-        self._evaluate_index_fn = evaluate_index_fn
+        self._objective = evaluate_index_fn
         self._peek_index_fn = peek_index_fn
         self._peek_one_fn = peek_one_fn
-        self._cache: dict[tuple, Observation] = {}
-        self._icache: dict[int, Observation] = {}
+        self._memo: dict[int, Observation] = {}
         self._evaluation_count = 0
 
     # ---------------------------------------------------------------------- queries
 
     @property
     def evaluation_count(self) -> int:
-        """Number of *distinct* objective-function calls performed so far."""
+        """Number of evaluations performed so far (memo hits excluded)."""
         return self._evaluation_count
 
     @property
     def cache_size(self) -> int:
-        """Number of memo entries across both key currencies (a configuration
-        that crossed evaluation paths is mirrored into each memo and counts in
-        both)."""
-        return len(self._cache) + len(self._icache)
+        """Number of memoized observations (one per distinct space index)."""
+        return len(self._memo)
 
     def is_valid(self, config: Mapping[str, Any]) -> bool:
         """Static validity (membership + constraints); does not call the objective."""
@@ -165,93 +171,52 @@ class TuningProblem:
 
     # ------------------------------------------------------------------- evaluation
 
-    def evaluate(self, config: Mapping[str, Any],
-                 _valid_hint: bool | None = None) -> Observation:
+    def _index_or_none(self, config: Mapping[str, Any]) -> int | None:
+        """Space index of ``config``, or None when it is not a member."""
+        try:
+            return self.space.index_of(config)
+        except ReproError:
+            return None
+
+    def _non_member(self, config: Mapping[str, Any]) -> Observation:
+        """Invalid observation of a configuration that has no space index.
+
+        It counts as an evaluation but is not memoized: the memo is keyed by index.
+        """
+        count = self._evaluation_count
+        self._evaluation_count = count + 1
+        return Observation.fast(dict(config), self.direction.worst_value, False,
+                                "configuration not a member of the search space",
+                                count, self.gpu, self.name)
+
+    def evaluate(self, config: Mapping[str, Any]) -> Observation:
         """Measure one configuration and return the observation.
 
-        Invalid configurations (constraint violations, device resource limits, or an
-        objective function that raises/returns a non-finite value) yield an
-        observation with ``valid=False`` and ``value=inf`` -- they still count as an
-        evaluation, exactly as a failed compilation costs time on real hardware.
-
-        ``_valid_hint`` is the internal handshake with :meth:`evaluate_many`: the
-        batch path precomputes static validity for a whole block with the vectorized
-        constraint mask (element-wise equivalent to :meth:`is_valid` by the
-        compilation contract) so this method can skip the per-config scalar pass.
+        Invalid configurations (non-members, constraint violations, device resource
+        limits, or an objective that raises a ``repro`` error or returns a
+        non-finite value) yield an observation with ``valid=False`` and
+        ``value=inf`` -- they still count as an evaluation, exactly as a failed
+        compilation costs time on real hardware.  Members are encoded to their
+        space index and evaluated by :meth:`evaluate_index`.
         """
-        key = config_key(config)
-        if self.memoize:
-            cached = self._cache.get(key)
-            if cached is None and self._icache:
-                # The index path may have measured this configuration already;
-                # the probe only costs anything when that memo is non-empty.
-                try:
-                    cached = self._icache.get(self.space.index_of(config))
-                except ReproError:
-                    cached = None
-                if cached is not None:
-                    self._cache[key] = cached
-            if cached is not None:
-                return Observation(config=dict(config), value=cached.value,
-                                   valid=cached.valid, error=cached.error,
-                                   evaluation_index=cached.evaluation_index,
-                                   gpu=self.gpu, benchmark=self.name)
-
-        index = self._evaluation_count
-        value: float
-        valid = True
-        error = ""
-        statically_valid = (self.space.is_valid(config) if _valid_hint is None
-                            else _valid_hint)
-        if not statically_valid:
-            valid = False
-            value = self.direction.worst_value
-            error = "constraint violation: " + ", ".join(
-                self.space.constraints.violated(config)) if len(self.space.constraints) else \
-                "configuration not a member of the search space"
-        else:
-            try:
-                value = float(self._evaluate_fn(config))
-                if not math.isfinite(value) or value <= 0:
-                    valid = False
-                    error = f"objective returned non-positive/non-finite value {value!r}"
-                    value = self.direction.worst_value
-            except ResourceLimitError as exc:
-                valid = False
-                value = self.direction.worst_value
-                error = f"resource limit exceeded: {exc}"
-            except Exception as exc:  # objective failures behave like failed launches
-                valid = False
-                value = self.direction.worst_value
-                error = f"evaluation failed: {exc}"
-
-        self._evaluation_count += 1
-        obs = Observation(config=dict(config), value=value, valid=valid, error=error,
-                          evaluation_index=index, gpu=self.gpu, benchmark=self.name)
-        if self.memoize:
-            self._cache[key] = obs
-        return obs
+        index = self._index_or_none(config)
+        if index is None:
+            return self._non_member(config)
+        return self.evaluate_index(index)
 
     def evaluate_index(self, index: int, _valid_hint: bool | None = None) -> Observation:
-        """Index-native form of :meth:`evaluate` (see the module docstring contract).
+        """Measure the configuration at space ``index`` (see the module docstring).
 
         The observation's configuration is a :class:`~repro.core.result.LazyConfig`
         that materialises from the space's value columns only if something reads it;
-        the hot loop itself touches no dictionary.  ``_valid_hint`` plays the same
-        role as in :meth:`evaluate`: tuners whose candidates already passed the
-        vectorized constraint mask (neighbourhood enumeration, valid sampling,
-        repair) pass ``True`` and skip the static check entirely.
+        the hot loop itself touches no dictionary.  Tuners whose candidates already
+        passed the vectorized constraint mask (neighbourhood enumeration, valid
+        sampling, repair) pass ``_valid_hint=True`` and skip the static check;
+        :meth:`evaluate_indices` passes the mask it computed for the whole block.
         """
         index = int(index)
         if self.memoize:
-            cached = self._icache.get(index)
-            if cached is None and self._cache:
-                # The dictionary path may have measured this configuration
-                # already; the probe only costs anything when that memo holds
-                # entries (never in a pure index-native run).
-                cached = self._cache.get(config_key(self.space.config_at(index)))
-                if cached is not None:
-                    self._icache[index] = cached
+            cached = self._memo.get(index)
             if cached is not None:
                 return cached
 
@@ -271,11 +236,7 @@ class TuningProblem:
                 "configuration not a member of the search space"
         else:
             try:
-                if self._evaluate_index_fn is not None:
-                    value = float(self._evaluate_index_fn(index))
-                else:
-                    config = self.space.config_at(index)
-                    value = float(self._evaluate_fn(config))
+                value = float(self._objective(index))
                 if not math.isfinite(value) or value <= 0:
                     valid = False
                     error = f"objective returned non-positive/non-finite value {value!r}"
@@ -284,7 +245,7 @@ class TuningProblem:
                 valid = False
                 value = self.direction.worst_value
                 error = f"resource limit exceeded: {exc}"
-            except Exception as exc:  # objective failures behave like failed launches
+            except ReproError as exc:  # objective failures behave like failed launches
                 valid = False
                 value = self.direction.worst_value
                 error = f"evaluation failed: {exc}"
@@ -294,7 +255,7 @@ class TuningProblem:
                                else dict(config),
                                value, valid, error, count, self.gpu, self.name)
         if self.memoize:
-            self._icache[index] = obs
+            self._memo[index] = obs
         return obs
 
     def peek_indices(self, indices: np.ndarray | Sequence[int]
@@ -336,22 +297,24 @@ class TuningProblem:
         With ``valid_hint=None`` one vectorized static-validity mask covers the
         whole block; ``valid_hint=True`` asserts the caller already mask-checked
         every index.  For peekable objectives and pre-validated indices the good
-        rows come from one array probe and skip the per-index objective dispatch
-        entirely -- the memo, ``evaluation_count`` and failure rows still flow
-        through the scalar path so the semantics cannot drift.
+        rows come from one peek and skip the per-index objective dispatch
+        entirely -- the memo, ``evaluation_count`` and raising rows still flow
+        through the scalar path so the semantics cannot drift.  ``_peek`` is a
+        peek the caller already holds for ``indices``: ``(values, failure,
+        raises)`` as arrays or as Python lists.
         """
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size == 0:
+        index_list = (indices.tolist() if isinstance(indices, np.ndarray)
+                      else [int(i) for i in indices])
+        if not index_list:
             return []
         if valid_hint is True and (_peek is not None
                                    or self._peek_index_fn is not None):
-            values, failure, raises = (_peek if _peek is not None
-                                       else self._peek_index_fn(idx))
-            value_list = values.tolist()
-            failure_list = failure.tolist()
-            raises_list = raises.tolist()
-            icache = self._icache
-            icache_get = icache.get
+            if _peek is None:
+                _peek = self._peek_index_fn(np.asarray(index_list, dtype=np.int64))
+            values, failures, raising = (
+                col.tolist() if isinstance(col, np.ndarray) else col for col in _peek)
+            memo = self._memo
+            memo_get = memo.get
             memoize = self.memoize
             space, gpu, name = self.space, self.gpu, self.name
             worst = self.direction.worst_value
@@ -360,24 +323,18 @@ class TuningProblem:
             count = self._evaluation_count
             out: list[Observation] = []
             append = out.append
-            dict_memo = self._cache
-            for k, i in enumerate(idx.tolist()):
+            for i, value, failed, raises in zip(index_list, values, failures, raising):
                 if memoize:
-                    cached = icache_get(i)
-                    if cached is None and dict_memo:
-                        cached = dict_memo.get(config_key(space.config_at(i)))
-                        if cached is not None:
-                            icache[i] = cached
+                    cached = memo_get(i)
                     if cached is not None:
                         append(cached)
                         continue
-                if not failure_list[k]:
-                    obs = fast(lazy(space, i), value_list[k],
-                               True, "", count, gpu, name)
+                if not failed:
+                    obs = fast(lazy(space, i), value, True, "", count, gpu, name)
                     count += 1
                     if memoize:
-                        icache[i] = obs
-                elif raises_list[k]:
+                        memo[i] = obs
+                elif raises:
                     # Rows whose objective raises take the scalar path so error
                     # strings (cache misses, resource limits) stay byte-identical.
                     self._evaluation_count = count
@@ -389,51 +346,42 @@ class TuningProblem:
                     obs = fast(
                         lazy(space, i), worst, False,
                         f"objective returned non-positive/non-finite value "
-                        f"{value_list[k]!r}", count, gpu, name)
+                        f"{value!r}", count, gpu, name)
                     count += 1
                     if memoize:
-                        icache[i] = obs
+                        memo[i] = obs
                 append(obs)
             self._evaluation_count = count
             return out
-        if valid_hint is None and idx.size >= 2:
-            hints: Sequence[bool | None] = self.space.satisfied_mask(idx).tolist()
+        if valid_hint is None and len(index_list) >= 2:
+            hints: Sequence[bool | None] = self.space.satisfied_mask(
+                np.asarray(index_list, dtype=np.int64)).tolist()
         else:
-            hints = [valid_hint] * idx.size
+            hints = [valid_hint] * len(index_list)
         return [self.evaluate_index(i, _valid_hint=hint)
-                for i, hint in zip(idx.tolist(), hints)]
-
-    def _batch_validity(self, configs: Sequence[Mapping[str, Any]]) -> list[bool | None]:
-        """Static validity of many configurations in one vectorized pass.
-
-        Returns one hint per configuration, or ``None`` hints (scalar fallback) when
-        the block cannot be validated as a whole -- a configuration with
-        missing/extra parameters or a value outside its parameter's list.
-        """
-        names = set(self.space.parameter_names)
-        if any(set(c) != names for c in configs):
-            return [None] * len(configs)
-        try:
-            digits = self.space.digits_of_configs(configs)
-        except ReproError:
-            return [None] * len(configs)
-        return self.space.satisfied_mask(None, digits=digits).tolist()
+                for i, hint in zip(index_list, hints)]
 
     def evaluate_many(self, configs: Sequence[Mapping[str, Any]]) -> list[Observation]:
         """Evaluate a batch of configurations in order.
 
-        Observation-for-observation identical to calling :meth:`evaluate` in a loop,
-        but the static validity check runs once over the whole batch through the
-        vectorized constraint mask instead of once per configuration -- the same
-        batching discipline the shard workers of :mod:`repro.exec` use for the
-        kernel-model calls.
+        Observation-for-observation identical to calling :meth:`evaluate` in a loop:
+        each run of member configurations is encoded and evaluated by
+        :meth:`evaluate_indices`, so one vectorized constraint mask replaces a
+        scalar constraint pass per configuration -- the same batching discipline
+        the shard workers of :mod:`repro.exec` use for the kernel-model calls.
         """
-        configs = list(configs)
-        if len(configs) < 2:
-            return [self.evaluate(c) for c in configs]
-        hints = self._batch_validity(configs)
-        return [self.evaluate(c, _valid_hint=hint)
-                for c, hint in zip(configs, hints)]
+        out: list[Observation] = []
+        run: list[int] = []
+        for config in configs:
+            index = self._index_or_none(config)
+            if index is None:
+                out += self.evaluate_indices(run)
+                run = []
+                out.append(self._non_member(config))
+            else:
+                run.append(index)
+        out += self.evaluate_indices(run)
+        return out
 
     def objective(self, config: Mapping[str, Any]) -> float:
         """Scalar objective of a configuration (``inf`` for invalid ones)."""
@@ -441,8 +389,7 @@ class TuningProblem:
 
     def reset_cache(self) -> None:
         """Drop memoized observations and reset the evaluation counter."""
-        self._cache.clear()
-        self._icache.clear()
+        self._memo.clear()
         self._evaluation_count = 0
 
     # ------------------------------------------------------------------------- repr

@@ -15,9 +15,9 @@ be compared on identical problems.  This subpackage provides that algorithm port
 ``greedy_ils``    greedy iterated local search (randomised restarts + perturbation)
 ================  ==========================================================
 
-plus :mod:`repro.tuners.adapters`, the integration layer mirroring how BAT wraps
-external frameworks (Optuna, SMAC3, Kernel Tuner, KTT), and
-:mod:`repro.tuners.portfolio`, which runs several tuners under a shared budget.
+plus :mod:`repro.tuners.portfolio`, which runs several tuners under a shared budget.
+An external framework integrates the way these optimizers do: by consuming a
+:class:`~repro.core.problem.TuningProblem`.
 """
 
 from __future__ import annotations

@@ -19,14 +19,15 @@ stops the run defensively if a tuner ignores that signal.
 Index-native runtime
 --------------------
 The hot loop of every in-repo optimizer identifies candidates by their mixed-radix
-space index: :meth:`Tuner.evaluate_index` is the integer twin of :meth:`Tuner.evaluate`
-and :meth:`Tuner.ask_random_indices` the integer twin of :meth:`Tuner.ask_random`.
-Duplicate accounting (``_seen``) keys on the integer index -- the dictionary path maps
-configurations to the same integers, so mixing paths within one run (e.g. a portfolio
-of migrated and adapter members) still counts each distinct configuration once.  The
-running best (index, value) pair is tracked in ``_track`` so index-native tuners that
-restart from the incumbent (greedy ILS) never have to recover an index from a
-configuration dictionary.
+space index (:meth:`Tuner.evaluate_index`, :meth:`Tuner.evaluate_index_run`,
+:meth:`Tuner.ask_random_indices`), the one currency of
+:class:`~repro.core.problem.TuningProblem`.  :meth:`Tuner.evaluate` remains for
+optimizers that propose configuration dictionaries; the problem encodes them to the
+same integers, and so does duplicate accounting (``_seen``), so each distinct
+configuration counts once whichever way it was proposed.  The running best (index,
+value) pair is tracked in ``_track`` so index-native tuners that restart from the
+incumbent (greedy ILS) never have to recover an index from a configuration
+dictionary.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from repro.core.budget import Budget
 from repro.core.errors import BudgetExhaustedError, ReproError
 from repro.core.problem import TuningProblem
-from repro.core.result import LazyConfig, Observation, TuningResult
+from repro.core.result import Observation, TuningResult
 from repro.core.searchspace import config_key
 
 __all__ = ["GenerationRun", "Tuner"]
@@ -145,14 +146,12 @@ class Tuner(abc.ABC):
         return observation
 
     def _account(self, config: Mapping[str, Any], observation: Observation) -> None:
-        """Charge the budget and record one observation (shared by both the scalar
-        :meth:`evaluate` path and the :meth:`evaluate_all` fast path, so the
-        accounting semantics cannot drift apart).
+        """Charge the budget and record the observation of one configuration (shared
+        by :meth:`evaluate` and :meth:`evaluate_all`, so their accounting cannot
+        drift apart).
 
-        Configurations that are members of the space key ``_seen`` by their integer
-        index -- the same currency :meth:`evaluate_index` uses -- so duplicate
-        accounting agrees across the two evaluation paths; out-of-space
-        configurations (only reachable through the dictionary path) fall back to the
+        Members of the space key ``_seen`` by their space index, as
+        :meth:`evaluate_index` does; a non-member has no index and keys by its
         canonical config tuple.
         """
         try:
@@ -241,110 +240,6 @@ class Tuner(abc.ABC):
         """
         return GenerationRun(self)
 
-    def evaluate_generation(
-            self, candidates: "list[tuple[int, float, bool, bool]]") -> bool:
-        """Record one generation of peek-driven candidates in a single bulk run.
-
-        Each candidate is an ``(index, value, failure, raises)`` tuple holding
-        exactly what :meth:`TuningProblem.peek_indices` would have returned for
-        its index (the tuner collected them one candidate at a time while
-        simulating its generation).  The affordable prefix settles in one
-        list-native pass -- memo probe, observation construction, duplicate/best
-        tracking per candidate, then one :meth:`Budget.charge_bulk` and one
-        result extend; per observation the bytes are identical to
-        :meth:`evaluate_index` in a loop (the literal fallback whenever the
-        budget cannot precompute its prefix).  Returns False when the budget
-        truncated the generation or ran dry on its last candidate, i.e. the run
-        must stop.
-        """
-        if not candidates:
-            return not self.budget_exhausted
-        problem, result, budget = self._problem, self._result, self._budget
-        if problem is None or result is None or budget is None:
-            raise RuntimeError("evaluate_generation() called outside of tune()")
-        allowance = budget.affordable_evaluations()
-        if allowance is None:
-            # Simulated-seconds / unique-config budgets: affordability depends
-            # on each evaluation's outcome, so settle sequentially (identical
-            # observations; the peeked values were only used for steering).
-            for index, _value, _failed, _raises in candidates:
-                if self.evaluate_index(index, valid_hint=True) is None:
-                    return False
-            return not self.budget_exhausted
-        allowed = (len(candidates) if allowance == math.inf
-                   else min(len(candidates), int(allowance)))
-        if allowed == 0:
-            return False
-        # Merged settle loop: the peeked twin of TuningProblem.evaluate_indices
-        # plus evaluate_index_run's accounting, over plain Python tuples (the
-        # candidates arrived one at a time -- no arrays exist to vectorize over).
-        icache = problem._icache
-        icache_get = icache.get
-        dict_memo = problem._cache
-        memoize = problem.memoize
-        space, gpu, name = problem.space, problem.gpu, problem.name
-        worst = problem.direction.worst_value
-        fast = Observation.fast
-        lazy = LazyConfig
-        isfinite = math.isfinite
-        count = problem._evaluation_count
-        seen = self._seen
-        seen_add = seen.add
-        track = self._track
-        best_value = track[1]
-        observations: list[Observation] = []
-        record = observations.append
-        simulated: list[float] = []
-        seconds = simulated.append
-        new_configs = 0
-        for index, peeked, failed, raises in (
-                candidates if allowed == len(candidates)
-                else candidates[:allowed]):
-            obs = None
-            if memoize:
-                obs = icache_get(index)
-                if obs is None and dict_memo:
-                    obs = dict_memo.get(config_key(space.config_at(index)))
-                    if obs is not None:
-                        icache[index] = obs
-            if obs is None:
-                if not failed:
-                    obs = fast(lazy(space, index), peeked, True, "", count,
-                               gpu, name)
-                    count += 1
-                    if memoize:
-                        icache[index] = obs
-                elif raises:
-                    # Rows whose objective raises take the scalar path so error
-                    # strings (cache misses, resource limits) stay byte-identical.
-                    problem._evaluation_count = count
-                    obs = problem.evaluate_index(index, _valid_hint=True)
-                    count = problem._evaluation_count
-                else:
-                    # Non-raising failures carry the error string the scalar
-                    # path derives from the returned value alone.
-                    obs = fast(
-                        lazy(space, index), worst, False,
-                        f"objective returned non-positive/non-finite value "
-                        f"{peeked!r}", count, gpu, name)
-                    count += 1
-                    if memoize:
-                        icache[index] = obs
-            record(obs)
-            if index not in seen:
-                seen_add(index)
-                new_configs += 1
-            value = obs.value
-            seconds(value / 1e3 if isfinite(value) else 0.0)
-            if obs.valid and value < best_value:
-                track[0] = index
-                track[1] = best_value = value
-        problem._evaluation_count = count
-        budget.charge_bulk(allowed, simulated_seconds=simulated,
-                           new_configs=new_configs)
-        result.extend(observations)
-        return allowed == len(candidates) and not budget.exhausted
-
     def evaluate_all(self, configs: Iterable[Mapping[str, Any]]) -> list[Observation]:
         """Evaluate configurations until the list or the budget is exhausted.
 
@@ -415,19 +310,14 @@ class Tuner(abc.ABC):
         inner._seen = set()
         inner._track = [None, math.inf]
 
-    def random_valid_config(self, problem: TuningProblem, rng: np.random.Generator,
-                            max_attempts: int = 10_000) -> dict[str, Any]:
-        """Draw a random configuration that satisfies the static constraints."""
-        return problem.space.sample_one(rng=rng, valid_only=True)
-
-    def ask_random(self, space: Any, rng: np.random.Generator,
-                   without_replacement: bool = True, batch_size: int = 512,
-                   max_consecutive_rejects: int | None = None) -> Iterator[dict[str, Any]]:
-        """Stream uniformly-random valid configurations, batch-filtered.
+    def ask_random_indices(self, space: Any, rng: np.random.Generator,
+                           without_replacement: bool = True, batch_size: int = 512,
+                           max_consecutive_rejects: int | None = None) -> Iterator[int]:
+        """Stream uniformly-random valid space indices, batch-filtered.
 
         This is the batch ``ask`` primitive shared by sampling-style tuners: candidate
         indices are drawn in blocks and run through the space's vectorized constraint
-        mask, so per-candidate Python work only happens for configurations that are
+        mask, so per-candidate Python work only happens for indices that are
         actually evaluated.  Candidates are yielded in draw order, which keeps the
         evaluated sequence identical to drawing one index at a time with the same
         generator.
@@ -436,17 +326,6 @@ class Tuner(abc.ABC):
         consecutive duplicate/invalid draws, the signal that the space has effectively
         run out of fresh valid configurations.
         """
-        for index in self.ask_random_indices(
-                space, rng, without_replacement=without_replacement,
-                batch_size=batch_size,
-                max_consecutive_rejects=max_consecutive_rejects):
-            yield space.config_at(index)
-
-    def ask_random_indices(self, space: Any, rng: np.random.Generator,
-                           without_replacement: bool = True, batch_size: int = 512,
-                           max_consecutive_rejects: int | None = None) -> Iterator[int]:
-        """Index-native form of :meth:`ask_random`: the same draw/filter stream,
-        yielding raw space indices instead of configuration dictionaries."""
         if max_consecutive_rejects is None:
             max_consecutive_rejects = max(10_000, 50 * space.dimensions)
         drawn: set[int] = set()
@@ -502,7 +381,8 @@ class GenerationRun:
             return                         # generation truncated by the budget
     """
 
-    __slots__ = ("_tuner", "_peek", "_worst", "_pending")
+    __slots__ = ("_tuner", "_peek", "_worst", "_indices", "_values", "_failures",
+                 "_raises")
 
     def __init__(self, tuner: Tuner):
         self._tuner = tuner
@@ -516,9 +396,13 @@ class GenerationRun:
                           or (problem.peek_index if problem.peekable else None))
         self._worst = (problem.direction.worst_value if problem is not None
                        else math.inf)
-        #: Queued ``(index, value, failure, raises)`` candidates of the current
-        #: generation (peeked mode only).
-        self._pending: list[tuple[int, float, bool, bool]] = []
+        #: The current generation's queued candidates and their peeked
+        #: ``(value, failure, raises)`` columns (peeked mode only), kept as Python
+        #: lists: candidates arrive one at a time, so no arrays are built.
+        self._indices: list[int] = []
+        self._values: list[float] = []
+        self._failures: list[bool] = []
+        self._raises: list[bool] = []
 
     @property
     def peeked(self) -> bool:
@@ -541,24 +425,29 @@ class GenerationRun:
                 return None
             return obs.value, obs.is_failure
         value, failed, raises = peek(index)
-        # The queue keeps the raw peeked value (the settle loop derives failure
+        # The queue keeps the raw peeked value (the settlement derives failure
         # error strings from it); the returned fate carries what the eventual
         # observation's ``value`` will be.
-        self._pending.append((index, value, failed, raises))
+        self._indices.append(index)
+        self._values.append(value)
+        self._failures.append(failed)
+        self._raises.append(raises)
         return (self._worst if failed else value), failed
 
     def flush(self) -> bool:
         """Settle the queued generation; False when the run must stop.
 
-        In peeked mode this is the one bulk evaluation of the generation; in
-        sequential mode everything is already settled and only the budget is
-        checked.  A False return means the budget ran out (possibly
-        mid-generation -- exactly the prefix the sequential loop would have
-        evaluated was recorded).
+        In peeked mode this is the one :meth:`Tuner.evaluate_index_run` of the
+        generation, fed the peeked columns; in sequential mode everything is
+        already settled and only the budget is checked.  A False return means the
+        budget ran out (possibly mid-generation -- exactly the prefix the
+        sequential loop would have evaluated was recorded).
         """
         tuner = self._tuner
-        if self._peek is None or not self._pending:
+        indices = self._indices
+        if self._peek is None or not indices:
             return not tuner.budget_exhausted
-        pending = self._pending
-        self._pending = []
-        return tuner.evaluate_generation(pending)
+        peek = (self._values, self._failures, self._raises)
+        self._indices, self._values, self._failures, self._raises = [], [], [], []
+        settled = tuner.evaluate_index_run(indices, _peek=peek)
+        return len(settled) == len(indices) and not tuner.budget_exhausted

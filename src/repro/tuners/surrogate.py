@@ -4,8 +4,8 @@ The tuner alternates between fitting a gradient-boosted-tree regression model (t
 model family SMAC3 and the paper's CatBoost analysis use) on all observations so far,
 and evaluating the candidate configurations the model predicts to be fastest (with an
 exploration fraction of pure random picks).  This is the in-repo stand-in for the
-model-based optimizers (SMAC3, Optuna's TPE) the paper integrates through its adapter
-interface.
+model-based optimizers (SMAC3, Optuna's TPE) the paper integrates through its shared
+problem interface.
 
 Bookkeeping is incremental and index-native: the training matrix lives in one
 capacity-doubling buffer that grows a row per successful observation (the seed

@@ -7,12 +7,16 @@ benchmark harness instead.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.analysis.campaign import Campaign
 from repro.core.parameter import Parameter
 from repro.core.constraints import ConstraintSet
+from repro.core.errors import CacheMissError
+from repro.core.problem import TuningProblem
 from repro.core.searchspace import SearchSpace
 from repro.gpus.specs import all_gpus, RTX_2080_TI, RTX_3090
 from repro.kernels import all_benchmarks
@@ -83,6 +87,30 @@ def small_campaign(benchmarks, gpus):
 def pnpoly_cache_3090(small_campaign):
     """Exhaustive Pnpoly cache on the RTX 3090."""
     return small_campaign.cache("pnpoly", "RTX_3090")
+
+
+@pytest.fixture(scope="session")
+def dict_replay():
+    """Factory of configuration-keyed replay problems: the reference that
+    index-native replays (``EvaluationCache.to_problem``) are compared against.
+
+    The only objective is a lookup over the cache's dictionary store
+    (``cache.get``) with ``to_problem``'s miss and failure semantics, so a
+    differential test exercises the dictionary store against the index table.
+    """
+    def make(cache, strict: bool = True) -> TuningProblem:
+        def lookup(config):
+            obs = cache.get(config)
+            if obs is None:
+                if strict:
+                    raise CacheMissError(f"configuration not present in "
+                                         f"{cache.benchmark}/{cache.gpu} cache")
+                return math.inf
+            return math.inf if obs.is_failure else obs.value
+
+        return TuningProblem(cache.benchmark, cache.space, evaluate_fn=lookup,
+                             gpu=cache.gpu)
+    return make
 
 
 @pytest.fixture()

@@ -11,7 +11,8 @@ Three layers of protection:
 * **Pairwise path equivalence** -- the index-native primitives (digit-arithmetic
   neighbourhoods, columnar cache lookups, ``evaluate_index``, scalar feasibility
   fast paths, tiled sweeps, bulk budget charging) agree element-wise with their
-  dictionary-based counterparts on every kernel space.
+  dictionary-based counterparts on every kernel space; replays are compared
+  against a reference problem whose only objective is a ``cache.get`` lookup.
 * **Lazy-configuration semantics** -- :class:`repro.core.result.LazyConfig` is
   observably identical to the dictionary it defers.
 """
@@ -28,8 +29,9 @@ import pytest
 
 from repro.core.budget import Budget
 from repro.core.cache import EvaluationCache
-from repro.core.errors import BudgetExhaustedError
+from repro.core.errors import BudgetExhaustedError, CacheMissError
 from repro.core.parameter import Parameter
+from repro.core.problem import TuningProblem
 from repro.core.result import LazyConfig, Observation, TuningResult
 from repro.core.runner import run_tuning
 from repro.core.searchspace import SearchSpace, config_key
@@ -322,14 +324,15 @@ class TestEvaluateIndex:
             assert a.to_dict() == b.to_dict()
 
     def test_replay_matches_dict_evaluation_including_misses(self, benchmarks,
-                                                             gpu_3090):
+                                                             gpu_3090,
+                                                             dict_replay):
         cache = benchmarks["gemm"].build_cache(gpu_3090, sample_size=100, seed=9)
         space = cache.space
         stored = space.indices_of_configs([dict(o.config) for o in cache])[:20]
         rng = np.random.default_rng(1)
         probes = np.concatenate([stored, rng.integers(0, space.cardinality, 20)])
         for strict in (True, False):
-            dict_problem = cache.to_problem(strict=strict)
+            dict_problem = dict_replay(cache, strict=strict)
             index_problem = cache.to_problem(strict=strict)
             for index in probes.tolist():
                 a = dict_problem.evaluate(space.config_at(index))
@@ -339,8 +342,8 @@ class TestEvaluateIndex:
     def test_mixed_paths_share_one_memo(self):
         # A config evaluated through the dict path then the index path (or the
         # reverse) on one memoized problem must be measured exactly once, even
-        # for a non-deterministic objective -- portfolios may mix adapter
-        # (dict-path) and migrated (index-path) members on a shared problem.
+        # for a non-deterministic objective -- a portfolio may mix members that
+        # propose dictionaries with index-native ones on a shared problem.
         space = SearchSpace([Parameter("x", (1, 2, 3, 4))])
         calls = []
 
@@ -348,7 +351,6 @@ class TestEvaluateIndex:
             calls.append(dict(config))
             return float(len(calls))
 
-        from repro.core.problem import TuningProblem
         problem = TuningProblem("t", space, noisy, memoize=True)
         a = problem.evaluate({"x": 2})
         b = problem.evaluate_index(space.index_of({"x": 2}))
@@ -356,6 +358,7 @@ class TestEvaluateIndex:
         assert len(calls) == 1
         assert a.value == b.value == c.value == 1.0
         assert problem.evaluation_count == 1
+        assert problem.cache_size == 1
         # And the reverse order, plus the batch path.
         problem.reset_cache()
         calls.clear()
@@ -391,6 +394,115 @@ class TestEvaluateIndex:
                                      if (~failure).any() else 0)
         if not obs.is_failure:
             assert obs.value == values[obs.config.space_index]
+
+
+GEMM_MEMBER = {"MWG": 64, "NWG": 64, "MDIMC": 16, "NDIMC": 8, "MDIMA": 16,
+               "NDIMB": 16, "VWM": 4, "VWN": 4, "SA": 0, "SB": 1}
+NOT_A_MEMBER = "configuration not a member of the search space"
+
+
+class TestConfigEntryPoints:
+    """``evaluate``/``evaluate_many`` encode to the index, then delegate."""
+
+    @pytest.fixture()
+    def gemm_problem(self, benchmarks, gpu_3090):
+        return benchmarks["gemm"].problem(gpu_3090)
+
+    @pytest.mark.parametrize("change", [
+        {"MWG": 999},           # off-list value that violates constraints
+        {"MWG": 256},           # off-list value that satisfies every constraint
+        {"SA": 2}, {"SB": 7},   # off-list values no constraint mentions
+        {"KWG": 16},            # unknown parameter
+    ])
+    def test_off_list_values_are_not_members(self, gemm_problem, change):
+        config = {**GEMM_MEMBER, **change}
+        obs = gemm_problem.evaluate(config)
+        assert (obs.valid, obs.value, obs.error) == (False, math.inf, NOT_A_MEMBER)
+        assert obs.config == config
+        assert obs.evaluation_index == 0
+        assert gemm_problem.evaluation_count == 1
+        assert gemm_problem.cache_size == 0  # no index, so never memoized
+
+    def test_missing_parameter_is_not_a_member(self, gemm_problem):
+        config = dict(GEMM_MEMBER)
+        del config["MWG"]  # a constraint references MWG
+        obs = gemm_problem.evaluate(config)
+        assert (obs.valid, obs.error) == (False, NOT_A_MEMBER)
+        again = gemm_problem.evaluate(config)
+        assert again.evaluation_index == 1  # not memoized: counted again
+        assert gemm_problem.cache_size == 0
+
+    def test_constraint_violations_keep_their_error_bytes(self, gemm_problem):
+        config = {**GEMM_MEMBER, "MWG": 16}
+        obs = gemm_problem.evaluate(config)
+        assert obs.error == ("constraint violation: MWG % (MDIMC * VWM) == 0, "
+                             "MWG % (MDIMA * VWM) == 0")
+        index_obs = gemm_problem.evaluate_index(
+            gemm_problem.space.index_of(config))
+        assert index_obs is obs  # one memo
+        assert gemm_problem.cache_size == 1
+
+    def test_evaluate_many_equals_the_loop(self, benchmarks, gpu_3090):
+        space = benchmarks["gemm"].space
+        rng = np.random.default_rng(4)
+        configs = space.configs_at(rng.integers(0, space.cardinality, size=12))
+        configs[3:3] = [{**GEMM_MEMBER, "SA": 2}, {**GEMM_MEMBER, "MWG": 16}]
+        configs[8:8] = [{"MWG": 64}, configs[0], {**GEMM_MEMBER, "SA": 2}]
+        batch_problem = benchmarks["gemm"].problem(gpu_3090)
+        loop_problem = benchmarks["gemm"].problem(gpu_3090)
+        batched = batch_problem.evaluate_many(configs)
+        looped = [loop_problem.evaluate(c) for c in configs]
+        assert [o.to_dict() for o in batched] == [o.to_dict() for o in looped]
+        assert batch_problem.evaluation_count == loop_problem.evaluation_count
+        assert batch_problem.cache_size == loop_problem.cache_size
+
+    def test_tuner_records_non_members(self, benchmarks, gpu_3090):
+        class Proposer(RandomSearch):
+            def _run(self, problem, budget, rng):
+                self.evaluate_all([{**GEMM_MEMBER, "SA": 2}, GEMM_MEMBER,
+                                   {**GEMM_MEMBER, "SA": 2}])
+
+        result = run_tuning(Proposer(), benchmarks["gemm"].problem(gpu_3090),
+                            max_evaluations=10)
+        assert [o.error for o in result.observations][::2] == [NOT_A_MEMBER] * 2
+        assert result.observations[1].valid
+
+    def test_exactly_one_objective(self, small_space):
+        with pytest.raises(TypeError, match="exactly one"):
+            TuningProblem("t", small_space)
+        with pytest.raises(TypeError, match="exactly one"):
+            TuningProblem("t", small_space, lambda c: 1.0,
+                          evaluate_index_fn=lambda i: 1.0)
+
+
+class TestObjectiveFailures:
+    """Only ``repro`` errors become invalid rows; anything else is a bug."""
+
+    @staticmethod
+    def problems(space, exc):
+        def fail(_):
+            raise exc
+
+        return [TuningProblem("t", space, fail),
+                TuningProblem("t", space, evaluate_index_fn=fail)]
+
+    def test_type_error_propagates(self, small_space):
+        index = int(small_space.feasible_indices()[0])
+        for problem in self.problems(small_space, TypeError("model bug")):
+            with pytest.raises(TypeError, match="model bug"):
+                problem.evaluate(small_space.config_at(index))
+            with pytest.raises(TypeError, match="model bug"):
+                problem.evaluate_index(index)
+            with pytest.raises(TypeError, match="model bug"):
+                problem.evaluate_indices([index, index + 1])
+            with pytest.raises(TypeError, match="model bug"):
+                problem.evaluate_indices([index], valid_hint=True)
+
+    def test_repro_errors_become_invalid_rows(self, small_space):
+        index = int(small_space.feasible_indices()[0])
+        for problem in self.problems(small_space, CacheMissError("not cached")):
+            obs = problem.evaluate_index(index)
+            assert (obs.valid, obs.error) == (False, "evaluation failed: not cached")
 
 
 class TestTunerConvergence:

@@ -186,8 +186,9 @@ class TestBatchedTrajectoryEquivalence:
     @pytest.mark.parametrize("tuner_name", sorted(POPULATION_TUNERS))
     def test_simulated_seconds_budget_takes_sequential_settle(self, tuner_name,
                                                               replay_caches):
-        # A budget the bulk protocol cannot precompute: evaluate_generation's
-        # sequential fallback must still match the pure per-candidate loop.
+        # A budget the bulk protocol cannot precompute: the generation settles
+        # through evaluate_index_run's sequential fallback, which must still
+        # match the pure per-candidate loop.
         cache = replay_caches["gemm"]
         peeked_problem = cache.to_problem(strict=False)
         scalar_problem = cache.to_problem(strict=False)

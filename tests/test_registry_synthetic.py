@@ -480,7 +480,7 @@ class TestDictVsIndexPaths:
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_replay_problem_paths_agree_including_misses(self, name, scenarios,
-                                                         gpu_3090):
+                                                         gpu_3090, dict_replay):
         benchmark = scenarios[name]
         cache = benchmark.build_cache(gpu_3090)
         space = cache.space
@@ -489,7 +489,7 @@ class TestDictVsIndexPaths:
         probes = np.concatenate([stored,
                                  rng.integers(0, space.cardinality, size=20)])
         for strict in (True, False):
-            dict_problem = cache.to_problem(strict=strict)
+            dict_problem = dict_replay(cache, strict=strict)
             index_problem = cache.to_problem(strict=strict)
             for index in probes.tolist():
                 a = dict_problem.evaluate(space.config_at(index))
@@ -499,11 +499,13 @@ class TestDictVsIndexPaths:
     @pytest.mark.parametrize("name", ["syn_sep_hard", "syn_coupled"])
     def test_tuner_trajectories_replay_identically_on_both_paths(self, name,
                                                                  scenarios,
-                                                                 gpu_3090):
+                                                                 gpu_3090,
+                                                                 dict_replay):
         # The goldens discipline of test_index_native, applied to generated
-        # scenarios: a migrated (index-native) tuner run on a replay problem is
-        # observation-identical to the same run against the dictionary objective
-        # only -- same indices, values, error strings, evaluation order.
+        # scenarios: a tuner run on a replay problem is observation-identical to
+        # the same run against a problem whose only objective is a lookup over
+        # the dictionary store (no index table, no peeks) -- same indices,
+        # values, error strings, evaluation order.
         from repro.tuners import GreedyILS, LocalSearch, RandomSearch
 
         benchmark = scenarios[name]
@@ -513,9 +515,8 @@ class TestDictVsIndexPaths:
             index_result = run_tuning(factory(), replay.to_problem(strict=False),
                                       max_evaluations=40, seed=5)
             dict_cache = EvaluationCache.from_dict(replay.to_dict(), space=space)
-            dict_problem = dict_cache.to_problem(strict=False)
-            dict_problem._evaluate_index_fn = None  # force the dictionary path
-            dict_problem._peek_index_fn = None
+            dict_problem = dict_replay(dict_cache, strict=False)
+            assert not dict_problem.peekable
             dict_result = run_tuning(factory(), dict_problem,
                                      max_evaluations=40, seed=5)
             got = [[space.index_of(o.config), o.value, o.valid, o.error,

@@ -24,15 +24,6 @@ from repro.tuners import (
     SurrogateSearch,
     all_tuners,
 )
-from repro.tuners.adapters import (
-    KTTAdapter,
-    KernelTunerAdapter,
-    OptunaAdapter,
-    SMAC3Adapter,
-    available_external_frameworks,
-    objective_callback,
-    space_to_choices,
-)
 
 ALL_TUNER_CLASSES = [
     RandomSearch,
@@ -327,28 +318,3 @@ class TestBudgetSemantics:
         budget = Budget(max_evaluations=10)
         run_tuning(RandomSearch(seed=0), quadratic, budget=budget)
         assert budget.evaluations_used == 0  # the runner works on a copy
-
-
-class TestAdapters:
-    def test_space_to_choices(self, quadratic):
-        choices = space_to_choices(quadratic)
-        assert choices["a"] == [1, 2, 4, 8, 16]
-        assert set(choices) == {"a", "b", "c"}
-
-    def test_objective_callback_handles_invalid(self, quadratic):
-        objective = objective_callback(quadratic)
-        assert objective({"a": 16, "b": 4, "c": 8}) == pytest.approx(1.0)
-        assert objective({"a": 16, "b": 6, "c": 8}) == math.inf  # violates a*b <= 64
-
-    def test_frameworks_reported_unavailable_offline(self):
-        availability = available_external_frameworks()
-        assert set(availability) == {"optuna", "smac3", "kernel_tuner", "ktt"}
-        # None of the external frameworks are installed in this environment.
-        assert not any(availability.values())
-
-    @pytest.mark.parametrize("adapter_cls", [OptunaAdapter, SMAC3Adapter,
-                                             KernelTunerAdapter, KTTAdapter])
-    def test_adapters_fall_back_to_in_repo_optimizers(self, adapter_cls, quadratic):
-        result = run_tuning(adapter_cls(seed=0), quadratic, max_evaluations=20)
-        assert result.num_evaluations == 20
-        assert result.num_valid > 0
