@@ -522,7 +522,7 @@ class SerialExecutor(Executor):
                     raise fault.to_exception()
                 configs = task.benchmark.space.configs_at(task.indices)
                 rows = task.benchmark.evaluate_batch(
-                    task.gpu, configs, with_noise=task.unit.with_noise)
+                    task.gpu, task.indices, with_noise=task.unit.with_noise)
             except Exception as error:
                 delay = self._handle_shard_failure(task, error)
                 if delay is None:

@@ -159,8 +159,7 @@ def evaluate_shard(benchmark_name: str, gpu_name: str,
         init_worker()
     benchmark = _BENCHMARKS[benchmark_name]
     gpu = _GPUS[gpu_name]
-    configs = benchmark.space.configs_at(np.asarray(indices, dtype=np.int64))
-    return benchmark.evaluate_batch(gpu, configs, with_noise=with_noise)
+    return benchmark.evaluate_batch(gpu, indices, with_noise=with_noise)
 
 
 def shard_worker_loop(conn: Any, memoize_threshold: int | None = None,

@@ -14,13 +14,19 @@ limit, shared-memory limit), and occupancy is then resident warps over maximum w
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Any, NamedTuple
+
+import numpy as np
 
 from repro.core.errors import ResourceLimitError
 from repro.gpus.specs import GPUSpec
 
-__all__ = ["OccupancyResult", "compute_occupancy"]
+__all__ = ["OccupancyResult", "OccupancyColumns", "compute_occupancy",
+           "occupancy_columns"]
+
+#: Resident-block limits in the order the minimum is taken (ties go to the first).
+_LIMITS = np.array(["blocks", "warps", "registers", "shared_memory"])
 
 
 @dataclass(frozen=True)
@@ -49,10 +55,104 @@ class OccupancyResult:
     warps_per_block: int
 
 
+class OccupancyColumns(NamedTuple):
+    """:class:`OccupancyResult` over a block: one array per field."""
+
+    blocks_per_sm: np.ndarray
+    active_warps: np.ndarray
+    occupancy: np.ndarray
+    limiting_factor: np.ndarray
+    warps_per_block: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "OccupancyColumns":
+        """The given rows."""
+        return OccupancyColumns(self.blocks_per_sm[rows], self.active_warps[rows],
+                                self.occupancy[rows], self.limiting_factor[rows],
+                                self.warps_per_block[rows])
+
+    def row(self, i: int) -> OccupancyResult:
+        """Row ``i`` as a scalar :class:`OccupancyResult`."""
+        return OccupancyResult(blocks_per_sm=int(self.blocks_per_sm[i]),
+                               active_warps=int(self.active_warps[i]),
+                               occupancy=float(self.occupancy[i]),
+                               limiting_factor=str(self.limiting_factor[i]),
+                               warps_per_block=int(self.warps_per_block[i]))
+
+
+def _limit_error(gpu: GPUSpec, check: int, threads_per_block: Any,
+                 shared_mem_per_block_bytes: Any) -> ResourceLimitError:
+    if check == 1:
+        return ResourceLimitError("thread block must contain at least one thread",
+                                  resource="threads", requested=threads_per_block, limit=1)
+    if check == 2:
+        return ResourceLimitError(
+            f"{threads_per_block} threads per block exceeds the device limit "
+            f"of {gpu.max_threads_per_block}",
+            resource="threads_per_block", requested=threads_per_block,
+            limit=gpu.max_threads_per_block)
+    return ResourceLimitError(
+        f"{shared_mem_per_block_bytes / 1024:.1f} KiB shared memory per block exceeds "
+        f"the device limit of {gpu.shared_mem_per_block_kb} KiB",
+        resource="shared_memory", requested=shared_mem_per_block_bytes,
+        limit=gpu.shared_mem_per_block_kb * 1024)
+
+
+def occupancy_columns(gpu: GPUSpec, threads_per_block: Any, registers_per_thread: Any,
+                      shared_mem_per_block_bytes: Any
+                      ) -> tuple[OccupancyColumns, dict[int, ResourceLimitError]]:
+    """Column form of :func:`compute_occupancy` over equally long arrays.
+
+    Returns the occupancy columns and, keyed by row position, the error of every
+    row that breaks a hard device limit (the other fields of such rows are
+    meaningless).  The limits are checked in the scalar order -- threads, block
+    size, shared memory -- and an error is built only for a row that fails one.
+    """
+    threads = np.asarray(threads_per_block)
+    smem = np.asarray(shared_mem_per_block_bytes)
+    check = np.where(threads <= 0, 1,
+                     np.where(threads > gpu.max_threads_per_block, 2,
+                              np.where(smem > gpu.shared_mem_per_block_kb * 1024, 3, 0)))
+    failing = np.flatnonzero(check)
+    errors = {i: _limit_error(gpu, c, t, s) for i, c, t, s in zip(
+        failing.tolist(), check[failing].tolist(), threads[failing].tolist(),
+        smem[failing].tolist())}
+    # Real compilers spill to local memory instead of failing; the per-kernel
+    # models apply a spill penalty.  Here we clamp so occupancy stays defined.
+    registers = np.minimum(np.maximum(registers_per_thread, 1.0),
+                           float(gpu.max_registers_per_thread))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        warps_per_block = np.ceil(threads / gpu.warp_size).astype(np.int64)
+        # The four CUDA limits on resident blocks per SM.
+        limit_blocks = np.full(threads.shape, gpu.max_blocks_per_sm, dtype=np.int64)
+        limit_warps = np.floor_divide(gpu.max_warps_per_sm, np.maximum(warps_per_block, 1))
+        regs_per_block = registers * warps_per_block * gpu.warp_size
+        limit_registers = np.where(
+            regs_per_block > 0,
+            np.floor_divide(float(gpu.registers_per_sm), regs_per_block), limit_blocks)
+        limit_shared = np.where(
+            smem > 0,
+            np.floor_divide(float(gpu.shared_mem_per_sm_kb * 1024),
+                            np.where(smem > 0, smem, 1.0)), limit_blocks)
+    limits = np.stack([limit_blocks, limit_warps, limit_registers.astype(np.int64),
+                       limit_shared.astype(np.int64)])
+    which = limits.argmin(axis=0)
+    blocks_per_sm = np.maximum(limits.min(axis=0), 0)
+    active_warps = blocks_per_sm * warps_per_block
+    return OccupancyColumns(
+        blocks_per_sm=blocks_per_sm,
+        active_warps=active_warps,
+        occupancy=np.minimum(active_warps / gpu.max_warps_per_sm, 1.0),
+        limiting_factor=_LIMITS[which],
+        warps_per_block=warps_per_block), errors
+
+
 def compute_occupancy(gpu: GPUSpec, threads_per_block: int, registers_per_thread: float,
                       shared_mem_per_block_bytes: float,
                       max_blocks_per_sm_hint: int = 0) -> OccupancyResult:
     """Compute the occupancy of a launch configuration on ``gpu``.
+
+    The single-launch case of :func:`occupancy_columns`.
 
     Parameters
     ----------
@@ -79,55 +179,9 @@ def compute_occupancy(gpu: GPUSpec, threads_per_block: int, registers_per_thread
         more shared memory than the per-block limit, or more registers per thread
         than the hardware cap.
     """
-    if threads_per_block <= 0:
-        raise ResourceLimitError("thread block must contain at least one thread",
-                                 resource="threads", requested=threads_per_block, limit=1)
-    if threads_per_block > gpu.max_threads_per_block:
-        raise ResourceLimitError(
-            f"{threads_per_block} threads per block exceeds the device limit "
-            f"of {gpu.max_threads_per_block}",
-            resource="threads_per_block", requested=threads_per_block,
-            limit=gpu.max_threads_per_block)
-    if shared_mem_per_block_bytes > gpu.shared_mem_per_block_kb * 1024:
-        raise ResourceLimitError(
-            f"{shared_mem_per_block_bytes / 1024:.1f} KiB shared memory per block exceeds "
-            f"the device limit of {gpu.shared_mem_per_block_kb} KiB",
-            resource="shared_memory", requested=shared_mem_per_block_bytes,
-            limit=gpu.shared_mem_per_block_kb * 1024)
-    registers_per_thread = max(registers_per_thread, 1.0)
-    if registers_per_thread > gpu.max_registers_per_thread:
-        # Real compilers spill to local memory instead of failing; the per-kernel
-        # models apply a spill penalty.  Here we clamp so occupancy stays defined.
-        registers_per_thread = float(gpu.max_registers_per_thread)
-
-    warps_per_block = math.ceil(threads_per_block / gpu.warp_size)
-
-    # The four CUDA limits on resident blocks per SM.
-    limit_blocks = gpu.max_blocks_per_sm
-    limit_warps = gpu.max_warps_per_sm // warps_per_block
-    regs_per_block = registers_per_thread * warps_per_block * gpu.warp_size
-    limit_registers = int(gpu.registers_per_sm // regs_per_block) if regs_per_block > 0 else limit_blocks
-    if shared_mem_per_block_bytes > 0:
-        limit_shared = int((gpu.shared_mem_per_sm_kb * 1024) // shared_mem_per_block_bytes)
-    else:
-        limit_shared = limit_blocks
-
-    limits = {
-        "blocks": limit_blocks,
-        "warps": limit_warps,
-        "registers": limit_registers,
-        "shared_memory": limit_shared,
-    }
-
-    limiting_factor = min(limits, key=lambda k: limits[k])
-    blocks_per_sm = max(limits[limiting_factor], 0)
-    active_warps = blocks_per_sm * warps_per_block
-    occupancy = min(active_warps / gpu.max_warps_per_sm, 1.0)
-
-    return OccupancyResult(
-        blocks_per_sm=int(blocks_per_sm),
-        active_warps=int(active_warps),
-        occupancy=float(occupancy),
-        limiting_factor=limiting_factor,
-        warps_per_block=int(warps_per_block),
-    )
+    columns, errors = occupancy_columns(gpu, np.array([threads_per_block]),
+                                        np.array([registers_per_thread], dtype=float),
+                                        np.array([shared_mem_per_block_bytes]))
+    if errors:
+        raise errors[0]
+    return columns.row(0)

@@ -1,7 +1,7 @@
 """Base analytical kernel performance model.
 
 Every BAT benchmark in :mod:`repro.kernels` provides a subclass of
-:class:`AnalyticalKernelModel` that describes, for a given configuration:
+:class:`AnalyticalKernelModel` that describes, for a block of configurations:
 
 * the *launch shape* (threads per block, number of blocks, per-thread registers,
   per-block shared memory) -- consumed by the occupancy calculator;
@@ -18,6 +18,33 @@ through them: the *tail effect* (the last wave of blocks underutilises the SMs w
 grid is small) and *register spilling* (configurations whose estimated register demand
 exceeds the hardware cap pay a local-memory penalty).
 
+Column model
+------------
+The model has one implementation, over value columns.  Every hook receives a
+:class:`~repro.gpus.columns.ConfigColumns` block -- ``config["tile_size_x"]`` is an
+array with one entry per configuration -- and returns numbers or arrays of the same
+length (a per-problem constant such as the total FLOP count may stay a number).
+:meth:`AnalyticalKernelModel.estimate_columns` evaluates a whole block in one pass;
+the scalar :meth:`~AnalyticalKernelModel.estimate`, :meth:`~AnalyticalKernelModel.time_ms`
+and :meth:`~AnalyticalKernelModel.occupancy` are its one-row case.  Writing a hook:
+
+* a branch is ``np.where(cond, a, b)`` with both arms computed on every row, so an
+  arm must not raise on rows the other arm covers (guard with ``np.maximum(x, 1)``);
+* a lookup table ``{0: 0.85, 1: 0.93}[x]`` is ``np.array([0.85, 0.93])[x]``;
+* Python's float ``//`` is ``np.floor_divide``; ``math.ceil(a / b)`` is
+  ``np.ceil(a / b)``; ``+ - * /``, ``min``/``max`` and ``sqrt`` are IEEE-exact in
+  NumPy and need nothing else;
+* every other ``math`` call and every ``**`` goes through
+  :func:`~repro.gpus.columns.unique_map`, which applies the Python function once
+  per distinct argument.  That keeps results bit-identical to scalar Python
+  (NumPy's ``log2``/``power`` may differ in the last ulp) at the cost of a few
+  calls per block, because tuning parameters take few distinct values.
+
+Launches that break a device limit are found by one mask in the launch stage
+(:meth:`AnalyticalKernelModel.launch_columns`); their
+:class:`~repro.core.errors.ResourceLimitError` messages are formatted for the
+failing rows only, and :meth:`compose` never sees those rows.
+
 The absolute times produced are approximations -- the reproduction does not claim
 nanosecond fidelity -- but the *relative* structure (which parameters matter, how they
 interact, how optima move between architectures) follows from the same mechanisms that
@@ -27,18 +54,23 @@ drive real hardware, which is what the paper's analyses measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any, Mapping, NamedTuple
+
+import numpy as np
 
 from repro.core.errors import ResourceLimitError
+from repro.gpus.columns import ConfigColumns, as_column, unique_map
 from repro.gpus.memory import MemoryTraffic, dram_time_ms
-from repro.gpus.noise import config_noise
-from repro.gpus.occupancy import OccupancyResult, compute_occupancy
+from repro.gpus.noise import config_noises
+from repro.gpus.occupancy import OccupancyColumns, OccupancyResult, occupancy_columns
 from repro.gpus.specs import GPUSpec
 
 __all__ = [
     "KernelLaunchConfig",
+    "LaunchColumns",
     "ModelEstimate",
+    "ModelColumns",
     "AnalyticalKernelModel",
     "occupancy_throughput_factor",
     "ilp_factor",
@@ -48,7 +80,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelLaunchConfig:
-    """Launch shape of one kernel invocation.
+    """Launch shape of one kernel invocation, or a column of them.
+
+    Each field is a number or an array with one entry per configuration of a block.
 
     Attributes
     ----------
@@ -67,12 +101,32 @@ class KernelLaunchConfig:
         Hotspot performs ``total_iterations / temporal_tiling_factor`` launches).
     """
 
-    threads_per_block: int
-    grid_blocks: int
-    registers_per_thread: float
-    shared_mem_bytes: float
-    blocks_per_sm_hint: int = 0
-    launches: int = 1
+    threads_per_block: Any
+    grid_blocks: Any
+    registers_per_thread: Any
+    shared_mem_bytes: Any
+    blocks_per_sm_hint: Any = 0
+    launches: Any = 1
+
+    def columns(self, n: int) -> "KernelLaunchConfig":
+        """Every field as an array of length ``n``."""
+        return KernelLaunchConfig(**{f.name: as_column(getattr(self, f.name), n)
+                                     for f in fields(self)})
+
+    def take(self, rows: np.ndarray) -> "KernelLaunchConfig":
+        """The given rows of a column launch."""
+        return KernelLaunchConfig(**{f.name: getattr(self, f.name)[rows]
+                                     for f in fields(self)})
+
+    def row(self, i: int) -> "KernelLaunchConfig":
+        """Row ``i`` of a column launch, as plain numbers."""
+        return KernelLaunchConfig(
+            threads_per_block=int(self.threads_per_block[i]),
+            grid_blocks=int(self.grid_blocks[i]),
+            registers_per_thread=float(self.registers_per_thread[i]),
+            shared_mem_bytes=float(self.shared_mem_bytes[i]),
+            blocks_per_sm_hint=int(self.blocks_per_sm_hint[i]),
+            launches=int(self.launches[i]))
 
 
 @dataclass
@@ -104,10 +158,67 @@ class ModelEstimate:
         }
 
 
+class LaunchColumns(NamedTuple):
+    """Launch stage of a block: shape, spill and occupancy of every row.
+
+    ``errors`` maps the row position of every configuration that cannot launch to
+    its :class:`~repro.core.errors.ResourceLimitError`; it is the one launchability
+    rule that validity checks and measurements share.
+    """
+
+    launch: KernelLaunchConfig
+    spill_fraction: np.ndarray
+    occupancy: OccupancyColumns
+    errors: dict[int, ResourceLimitError]
+
+    def launchable(self) -> np.ndarray:
+        """Boolean mask of the rows that can launch."""
+        mask = np.ones(len(self.spill_fraction), dtype=bool)
+        mask[list(self.errors)] = False
+        return mask
+
+
+class ModelColumns(NamedTuple):
+    """Simulated measurements of a block (:meth:`AnalyticalKernelModel.estimate_columns`).
+
+    ``time_ms``, ``compute_time_ms``, ``memory_time_ms`` and ``factors`` cover the
+    launchable rows, at the positions ``rows``; ``stage`` covers every row.
+    """
+
+    stage: LaunchColumns
+    rows: np.ndarray
+    time_ms: np.ndarray
+    compute_time_ms: np.ndarray
+    memory_time_ms: np.ndarray
+    factors: dict[str, np.ndarray]
+
+    def results(self) -> list[tuple[float, bool, str]]:
+        """``(value, valid, error)`` per row, the shape campaign caches store."""
+        values = np.full(len(self.stage.spill_fraction), math.inf)
+        values[self.rows] = self.time_ms
+        out = [(value, True, "") for value in values.tolist()]
+        for i, error in self.stage.errors.items():
+            out[i] = (math.inf, False, str(error))
+        return out
+
+    def estimate(self, i: int = 0) -> ModelEstimate:
+        """Row ``i`` as a :class:`ModelEstimate` (raises if it cannot launch)."""
+        if i in self.stage.errors:
+            raise self.stage.errors[i]
+        k = int(np.searchsorted(self.rows, i))
+        return ModelEstimate(
+            time_ms=float(self.time_ms[k]),
+            compute_time_ms=float(self.compute_time_ms[k]),
+            memory_time_ms=float(self.memory_time_ms[k]),
+            occupancy=self.stage.occupancy.row(i),
+            launch=self.stage.launch.row(i),
+            factors={name: float(values[k]) for name, values in self.factors.items()})
+
+
 # ----------------------------------------------------------------------- helper curves
 
 
-def occupancy_throughput_factor(occupancy: float, saturation: float) -> float:
+def occupancy_throughput_factor(occupancy: Any, saturation: float) -> np.ndarray:
     """Fraction of peak throughput sustained at a given occupancy.
 
     GPUs reach full throughput well below 100% occupancy; ``saturation`` is the
@@ -116,43 +227,42 @@ def occupancy_throughput_factor(occupancy: float, saturation: float) -> float:
     smooth concave ramp rather than a straight line, matching measured behaviour.
     """
     saturation = min(max(saturation, 1e-3), 1.0)
-    x = min(max(occupancy, 0.0), 1.0) / saturation
-    if x >= 1.0:
-        return 1.0
+    x = np.minimum(np.maximum(occupancy, 0.0), 1.0) / saturation
     # Smooth ramp: sqrt-shaped so the first warps contribute the most.
-    return max(math.sqrt(x) * (0.55 + 0.45 * x), 0.02)
+    return np.where(x >= 1.0, 1.0, np.maximum(np.sqrt(x) * (0.55 + 0.45 * x), 0.02))
 
 
-def ilp_factor(unroll: int, best_unroll: int, falloff: float = 0.03) -> float:
+def ilp_factor(unroll: Any, best_unroll: int, falloff: float = 0.03) -> np.ndarray:
     """Instruction-level-parallelism benefit of partial loop unrolling.
 
     Benefit grows logarithmically up to ``best_unroll`` and then degrades gently
     (instruction-cache pressure, scheduler pressure).  ``unroll=0`` means "compiler
     decides" and is treated as a modest default benefit.
     """
-    if unroll <= 0:
-        return 0.92
+    unroll = np.asarray(unroll)
     best_unroll = max(best_unroll, 1)
-    if unroll <= best_unroll:
-        span = math.log2(best_unroll) if best_unroll > 1 else 1.0
-        return 0.80 + 0.20 * (math.log2(unroll) / span if span else 1.0)
-    over = math.log2(unroll / best_unroll)
-    return max(1.0 - falloff * over, 0.75)
+    positive = np.maximum(unroll, 1)
+    span = math.log2(best_unroll) if best_unroll > 1 else 1.0
+    ramp = 0.80 + 0.20 * (unique_map(math.log2, positive) / span)
+    over = unique_map(math.log2, positive / best_unroll)
+    return np.where(unroll <= 0, 0.92,
+                    np.where(unroll <= best_unroll, ramp,
+                             np.maximum(1.0 - falloff * over, 0.75)))
 
 
-def tail_effect_factor(gpu: GPUSpec, grid_blocks: int, blocks_per_sm: int) -> float:
+def tail_effect_factor(gpu: GPUSpec, grid_blocks: Any, blocks_per_sm: Any) -> np.ndarray:
     """SM utilisation of the block schedule in ``(0, 1]``.
 
     When the grid has fewer blocks than the device can keep resident -- or the last
     wave is only partially full -- part of the machine idles.  The factor is the
     fraction of resident-block slots doing useful work averaged over waves.
     """
-    if grid_blocks <= 0:
-        return 1e-3
-    blocks_per_sm = max(blocks_per_sm, 1)
-    concurrent = gpu.sm_count * blocks_per_sm
-    waves = math.ceil(grid_blocks / concurrent)
-    return min(grid_blocks / (waves * concurrent), 1.0)
+    grid_blocks = np.asarray(grid_blocks)
+    concurrent = gpu.sm_count * np.maximum(blocks_per_sm, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        waves = np.ceil(grid_blocks / concurrent)
+        used = np.minimum(grid_blocks / (waves * concurrent), 1.0)
+    return np.where(grid_blocks <= 0, 1e-3, used)
 
 
 # -------------------------------------------------------------------------- base model
@@ -161,9 +271,10 @@ def tail_effect_factor(gpu: GPUSpec, grid_blocks: int, blocks_per_sm: int) -> fl
 class AnalyticalKernelModel:
     """Base class of the per-kernel analytical models.
 
-    Subclasses implement :meth:`launch_config`, :meth:`flops`, :meth:`traffic`,
-    :meth:`compute_efficiency` and optionally :meth:`extra_time_ms`, and inherit the
-    roofline combiner plus the noise model.
+    Subclasses implement the column hooks :meth:`launch_config`, :meth:`flops`,
+    :meth:`traffic`, :meth:`compute_efficiency` and optionally
+    :meth:`extra_time_ms` (see the module docstring for how to write one), and
+    inherit the roofline combiner plus the noise model.
 
     Parameters
     ----------
@@ -184,61 +295,94 @@ class AnalyticalKernelModel:
 
     # ----------------------------------------------------- subclass responsibilities
 
-    def launch_config(self, config: Mapping[str, Any], gpu: GPUSpec) -> KernelLaunchConfig:
-        """Launch shape for ``config`` on ``gpu``."""
+    def launch_config(self, config: ConfigColumns, gpu: GPUSpec) -> KernelLaunchConfig:
+        """Launch shape of every configuration of the block on ``gpu``."""
         raise NotImplementedError
 
-    def flops(self, config: Mapping[str, Any], gpu: GPUSpec) -> float:
-        """Total floating-point operations of the whole problem for ``config``."""
+    def flops(self, config: ConfigColumns, gpu: GPUSpec) -> Any:
+        """Total floating-point operations of the whole problem, per configuration."""
         raise NotImplementedError
 
-    def traffic(self, config: Mapping[str, Any], gpu: GPUSpec) -> MemoryTraffic:
-        """DRAM traffic (bytes + access efficiency) of the whole problem."""
+    def traffic(self, config: ConfigColumns, gpu: GPUSpec) -> MemoryTraffic:
+        """DRAM traffic (bytes + access efficiency) of the whole problem, per configuration."""
         raise NotImplementedError
 
-    def compute_efficiency(self, config: Mapping[str, Any], gpu: GPUSpec,
-                           occupancy: OccupancyResult) -> float:
+    def compute_efficiency(self, config: ConfigColumns, gpu: GPUSpec,
+                           occupancy: OccupancyColumns) -> Any:
         """Fraction of peak FLOP/s the instruction stream can sustain at full occupancy."""
         return 1.0
 
-    def extra_time_ms(self, config: Mapping[str, Any], gpu: GPUSpec,
-                      launch: KernelLaunchConfig) -> float:
+    def extra_time_ms(self, config: ConfigColumns, gpu: GPUSpec,
+                      launch: KernelLaunchConfig) -> Any:
         """Additional fixed time (host-side work, extra launches); default none."""
         return 0.0
 
     # ------------------------------------------------------------------ composition
 
-    def _effective_registers(self, gpu: GPUSpec, launch: KernelLaunchConfig) -> tuple[float, float]:
+    def _effective_registers(self, gpu: GPUSpec,
+                             launch: KernelLaunchConfig) -> tuple[np.ndarray, np.ndarray]:
         """Registers per thread after the compiler's launch-feasibility cap.
 
         Real compilers never emit a kernel that cannot launch because of register
         demand: ``nvcc`` caps the per-thread register count so that at least one block
         fits on an SM (and honours ``__launch_bounds__``) and spills the rest to local
-        memory.  Returns ``(effective_registers, spill_fraction)`` where the spill
-        fraction is the relative amount of demand that had to be spilled.
+        memory.  Returns ``(effective_registers, spill_fraction)`` columns where the
+        spill fraction is the relative amount of demand that had to be spilled.
         """
-        demanded = max(launch.registers_per_thread, 1.0)
+        demanded = np.maximum(launch.registers_per_thread, 1.0)
+        threads = launch.threads_per_block
+        hint = launch.blocks_per_sm_hint
         # Hardware cap per thread plus "one block must fit" cap.
-        cap = min(float(gpu.max_registers_per_thread),
-                  gpu.registers_per_sm / max(launch.threads_per_block, 1))
-        if launch.blocks_per_sm_hint and launch.blocks_per_sm_hint > 0:
-            cap = min(cap, gpu.registers_per_sm /
-                      max(launch.blocks_per_sm_hint * launch.threads_per_block, 1))
-        cap = max(cap, 16.0)  # the ABI always grants a handful of registers
-        if demanded <= cap:
-            return demanded, 0.0
-        return cap, (demanded - cap) / demanded
+        cap = np.minimum(float(gpu.max_registers_per_thread),
+                         gpu.registers_per_sm / np.maximum(threads, 1))
+        cap = np.where(hint > 0,
+                       np.minimum(cap, gpu.registers_per_sm / np.maximum(hint * threads, 1)),
+                       cap)
+        cap = np.maximum(cap, 16.0)  # the ABI always grants a handful of registers
+        fits = demanded <= cap
+        return (np.where(fits, demanded, cap),
+                np.where(fits, 0.0, (demanded - cap) / demanded))
+
+    def launch_columns(self, config: ConfigColumns, gpu: GPUSpec) -> LaunchColumns:
+        """Launch shape, spill and occupancy of a block, and which rows cannot launch.
+
+        A row cannot launch when it breaks a hard device limit (propagated from
+        the occupancy calculator) or when no single block stays resident.
+        """
+        launch = self.launch_config(config, gpu).columns(config.n)
+        registers, spill_fraction = self._effective_registers(gpu, launch)
+        occ, errors = occupancy_columns(gpu, launch.threads_per_block, registers,
+                                        launch.shared_mem_bytes)
+        stranded = np.flatnonzero(occ.blocks_per_sm <= 0)
+        for i, limit in zip(stranded.tolist(), occ.limiting_factor[stranded].tolist()):
+            errors.setdefault(i, ResourceLimitError(
+                f"configuration cannot keep a single block resident on {gpu.name}",
+                resource=limit))
+        return LaunchColumns(launch, spill_fraction, occ, errors)
+
+    def estimate_columns(self, config: ConfigColumns, gpu: GPUSpec,
+                         with_noise: bool = True) -> ModelColumns:
+        """Simulated measurements of every configuration of a block, in one pass."""
+        stage = self.launch_columns(config, gpu)
+        rows = np.flatnonzero(stage.launchable())
+        time_ms, compute_time_ms, memory_time_ms, factors = self.compose(
+            config.take(rows), gpu, stage.launch.take(rows), stage.occupancy.take(rows),
+            with_noise=with_noise, spill_fraction=stage.spill_fraction[rows])
+        n = len(rows)
+        return ModelColumns(stage, rows, as_column(time_ms, n),
+                            as_column(compute_time_ms, n), as_column(memory_time_ms, n),
+                            {name: as_column(values, n) for name, values in factors.items()})
 
     def occupancy(self, config: Mapping[str, Any], gpu: GPUSpec) -> OccupancyResult:
         """Occupancy of ``config`` on ``gpu`` (raises ResourceLimitError if unlaunchable)."""
-        launch = self.launch_config(config, gpu)
-        regs, _ = self._effective_registers(gpu, launch)
-        return compute_occupancy(gpu, launch.threads_per_block, regs,
-                                 launch.shared_mem_bytes, launch.blocks_per_sm_hint)
+        stage = self.launch_columns(ConfigColumns.from_configs([config]), gpu)
+        if stage.errors:
+            raise stage.errors[0]
+        return stage.occupancy.row(0)
 
     def estimate(self, config: Mapping[str, Any], gpu: GPUSpec,
                  with_noise: bool = True) -> ModelEstimate:
-        """Full simulated measurement of ``config`` on ``gpu``.
+        """Full simulated measurement of ``config`` on ``gpu`` (a block of one).
 
         Raises
         ------
@@ -246,32 +390,29 @@ class AnalyticalKernelModel:
             If the configuration cannot launch on the device (propagated from the
             occupancy calculator); callers treat this as an invalid configuration.
         """
-        launch = self.launch_config(config, gpu)
-        regs, spill_fraction = self._effective_registers(gpu, launch)
-        occ = compute_occupancy(gpu, launch.threads_per_block, regs,
-                                launch.shared_mem_bytes, launch.blocks_per_sm_hint)
-        if occ.blocks_per_sm <= 0:
-            raise ResourceLimitError(
-                f"configuration cannot keep a single block resident on {gpu.name}",
-                resource=occ.limiting_factor)
+        return self.estimate_columns(ConfigColumns.from_configs([config]), gpu,
+                                     with_noise=with_noise).estimate(0)
 
-        return self.compose(config, gpu, launch, occ, with_noise=with_noise,
-                            spill_fraction=spill_fraction)
+    def compose(self, config: ConfigColumns, gpu: GPUSpec, launch: KernelLaunchConfig,
+                occ: OccupancyColumns, with_noise: bool = True,
+                spill_fraction: Any = 0.0
+                ) -> tuple[Any, Any, Any, dict[str, Any]]:
+        """Combine work, traffic and occupancy into runtime columns.
 
-    def compose(self, config: Mapping[str, Any], gpu: GPUSpec, launch: KernelLaunchConfig,
-                occ: OccupancyResult, with_noise: bool = True,
-                spill_fraction: float = 0.0) -> ModelEstimate:
-        """Combine work, traffic and occupancy into a runtime estimate."""
+        Returns ``(time_ms, compute_time_ms, memory_time_ms, factors)`` for the
+        (launchable) rows of the block.
+        """
         flops = self.flops(config, gpu)
         traffic = self.traffic(config, gpu)
-        compute_eff = max(min(self.compute_efficiency(config, gpu, occ), 1.0), 1e-3)
+        compute_eff = np.maximum(
+            np.minimum(self.compute_efficiency(config, gpu, occ), 1.0), 1e-3)
 
         occ_factor = occupancy_throughput_factor(occ.occupancy, self.occupancy_saturation)
         tail = tail_effect_factor(gpu, launch.grid_blocks, occ.blocks_per_sm)
 
         # Register spilling: demand the compiler could not fit goes to local memory,
         # costing extra instructions and extra traffic on every access.
-        spill_factor = 1.0 + 1.2 * max(spill_fraction, 0.0)
+        spill_factor = 1.0 + 1.2 * np.maximum(spill_fraction, 0.0)
 
         sustained_flops = gpu.peak_flops * compute_eff * occ_factor * tail
         compute_time_ms = flops / sustained_flops * 1e3 * spill_factor
@@ -279,21 +420,22 @@ class AnalyticalKernelModel:
         # DRAM bandwidth is a device-wide resource: even modest occupancy keeps enough
         # loads in flight to approach peak, so the memory stream saturates at a lower
         # occupancy than the ALUs and never degrades as steeply.
-        mem_occ_factor = max(
+        mem_occ_factor = np.maximum(
             occupancy_throughput_factor(occ.occupancy, self.occupancy_saturation * 0.5),
             0.40)
-        memory_time_ms = dram_time_ms(gpu, traffic) / max(mem_occ_factor * tail, 1e-3)
+        memory_time_ms = dram_time_ms(gpu, traffic) / np.maximum(mem_occ_factor * tail, 1e-3)
 
         # Latency-aware overlap: full overlap at saturated occupancy, serialisation
         # when the SM has too few warps to hide either latency.
-        hiding = min(occ.occupancy / self.occupancy_saturation, 1.0)
-        overlapped = max(compute_time_ms, memory_time_ms)
-        serialised = min(compute_time_ms, memory_time_ms)
+        hiding = np.minimum(occ.occupancy / self.occupancy_saturation, 1.0)
+        overlapped = np.maximum(compute_time_ms, memory_time_ms)
+        serialised = np.minimum(compute_time_ms, memory_time_ms)
         kernel_time_ms = overlapped + (1.0 - hiding) * serialised
 
         # flops()/traffic() describe the WHOLE problem (all launches together); only
         # the per-launch overhead scales with the launch count.
-        launch_overhead_ms = gpu.kernel_launch_overhead_us * 1e-3 * max(launch.launches, 1)
+        launch_overhead_ms = (gpu.kernel_launch_overhead_us * 1e-3
+                              * np.maximum(launch.launches, 1))
         total = (kernel_time_ms
                  + launch_overhead_ms
                  + self.extra_time_ms(config, gpu, launch))
@@ -308,18 +450,15 @@ class AnalyticalKernelModel:
         }
 
         if with_noise:
-            noise = config_noise(gpu.name, self.name, config, sigma=self.noise_sigma)
-            total *= noise
+            noise = self.noise(config, gpu)
+            total = total * noise
             factors["noise"] = noise
 
-        return ModelEstimate(
-            time_ms=float(total),
-            compute_time_ms=float(compute_time_ms),
-            memory_time_ms=float(memory_time_ms),
-            occupancy=occ,
-            launch=launch,
-            factors=factors,
-        )
+        return total, compute_time_ms, memory_time_ms, factors
+
+    def noise(self, config: ConfigColumns, gpu: GPUSpec) -> np.ndarray:
+        """Persistent per-configuration model-error factors of a block."""
+        return config_noises(gpu.name, self.name, config.rendered(), sigma=self.noise_sigma)
 
     def time_ms(self, config: Mapping[str, Any], gpu: GPUSpec,
                 with_noise: bool = True) -> float:

@@ -19,10 +19,14 @@ from repro.core.cache import EvaluationCache
 from repro.core.errors import ResourceLimitError
 from repro.core.problem import TuningProblem
 from repro.core.searchspace import SearchSpace
+from repro.gpus.columns import ConfigColumns
 from repro.gpus.perfmodel import AnalyticalKernelModel, ModelEstimate
 from repro.gpus.specs import GPUSpec
 
 __all__ = ["Workload", "KernelBenchmark"]
+
+#: Configurations per model pass: bounds the column memory of huge index arrays.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -129,30 +133,25 @@ class KernelBenchmark:
         For spaces small enough to enumerate (``cardinality <= limit``) the count is
         exact; otherwise it is estimated from ``limit`` uniform samples of the raw
         Cartesian product, matching how the paper leaves the huge spaces as "N/A" or
-        estimates them.
+        estimates them.  Static constraints are resolved by the vectorized mask and
+        the survivors go through the model's launch stage in blocks.
         """
-        def _count_launchable(configs: Sequence[Mapping[str, Any]]) -> int:
-            count = 0
-            for config in configs:
-                try:
-                    self.model.occupancy(config, gpu)
-                except ResourceLimitError:
-                    continue
-                count += 1
-            return count
-
         space = self.space
         if limit is None or space.cardinality <= limit:
-            # Static constraints are resolved by the vectorized mask (via the
-            # feasible-index blocks); only the survivors pay the per-config
-            # occupancy-model call.
-            return sum(_count_launchable(space.configs_at(block))
+            return sum(self._count_launchable(gpu, block)
                        for block in space.enumerate_chunked(valid_only=True))
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, space.cardinality, size=limit)
-        feasible = idx[space.satisfied_mask(idx)]
-        hits = _count_launchable(space.configs_at(feasible))
+        hits = self._count_launchable(gpu, idx[space.satisfied_mask(idx)])
         return int(round(space.cardinality * hits / limit))
+
+    def _count_launchable(self, gpu: GPUSpec, indices: np.ndarray) -> int:
+        count = 0
+        for start in range(0, len(indices), _BLOCK):
+            block = ConfigColumns.from_indices(self.space, indices[start:start + _BLOCK])
+            count += int(np.count_nonzero(
+                self.model.launch_columns(block, gpu).launchable()))
+        return count
 
     # ---------------------------------------------------------------- measurements
 
@@ -161,24 +160,23 @@ class KernelBenchmark:
         """Full model estimate (time plus breakdown) of one configuration."""
         return self.model.estimate(config, gpu, with_noise=with_noise)
 
-    def evaluate_batch(self, gpu: GPUSpec, configs: Sequence[Mapping[str, Any]],
+    def evaluate_batch(self, gpu: GPUSpec, indices: np.ndarray | Sequence[int],
                        with_noise: bool = True) -> list[tuple[float, bool, str]]:
-        """Evaluate many configurations and return ``(value, valid, error)`` rows.
+        """Evaluate the configurations at many space indices: ``(value, valid, error)`` rows.
 
         This is the batched kernel-model call shared by :meth:`build_cache` and the
-        shard workers of :mod:`repro.exec`: configurations that cannot launch on the
-        device become ``(inf, False, reason)`` rows, exactly the shape
+        shard workers of :mod:`repro.exec`: the model evaluates each block of
+        indices as value columns in one pass, and configurations that cannot launch
+        on the device become ``(inf, False, reason)`` rows, exactly the shape
         :meth:`~repro.core.cache.EvaluationCache.add` stores.  Keeping the loop (and
         in particular the error strings) in one place is what makes parallel shard
         evaluation byte-identical to the serial path.
         """
+        indices = np.asarray(indices, dtype=np.int64)
         rows: list[tuple[float, bool, str]] = []
-        for config in configs:
-            try:
-                rows.append((self.model.time_ms(config, gpu, with_noise=with_noise),
-                             True, ""))
-            except ResourceLimitError as exc:
-                rows.append((float("inf"), False, str(exc)))
+        for start in range(0, len(indices), _BLOCK):
+            block = ConfigColumns.from_indices(self.space, indices[start:start + _BLOCK])
+            rows += self.model.estimate_columns(block, gpu, with_noise=with_noise).results()
         return rows
 
     def new_cache(self, gpu: GPUSpec, sample_size: int | None = None) -> EvaluationCache:
@@ -212,12 +210,13 @@ class KernelBenchmark:
             # enumeration then slices the cached array, and any later constrained
             # count or sample on the same space reuses it.
             self.space.feasible_indices()
-            configs: Sequence[Mapping[str, Any]] = list(self.space.enumerate(valid_only=True))
+            indices = np.concatenate([np.empty(0, dtype=np.int64),
+                                      *self.space.enumerate_chunked(valid_only=True)])
         else:
-            configs = self.space.sample(sample_size, rng=seed, valid_only=True, unique=True)
-        for config, (value, valid, error) in zip(configs,
-                                                 self.evaluate_batch(gpu, configs,
-                                                                     with_noise=with_noise)):
+            indices = self.space.sample_indices(sample_size, rng=seed, valid_only=True,
+                                                unique=True)
+        rows = self.evaluate_batch(gpu, indices, with_noise=with_noise)
+        for config, (value, valid, error) in zip(self.space.configs_at(indices), rows):
             cache.add(config, value, valid=valid, error=error)
         return cache
 

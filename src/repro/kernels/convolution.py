@@ -22,16 +22,19 @@ from __future__ import annotations
 import math
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.core.constraints import ConstraintSet
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
+from repro.gpus.columns import ConfigColumns, unique_map
 from repro.gpus.memory import (
     MemoryTraffic,
     bank_conflict_factor,
     coalescing_efficiency,
     read_only_cache_factor,
 )
-from repro.gpus.occupancy import OccupancyResult
+from repro.gpus.occupancy import OccupancyColumns
 from repro.gpus.perfmodel import AnalyticalKernelModel, KernelLaunchConfig
 from repro.gpus.specs import GPUSpec
 from repro.kernels.base import KernelBenchmark, Workload
@@ -68,27 +71,27 @@ class ConvolutionModel(AnalyticalKernelModel):
 
     # ------------------------------------------------------------------- helpers
 
-    def _tile_dims(self, config: Mapping[str, Any]) -> tuple[int, int]:
-        return (int(config["block_size_x"]) * int(config["tile_size_x"]),
-                int(config["block_size_y"]) * int(config["tile_size_y"]))
+    def _tile_dims(self, config: ConfigColumns) -> tuple[np.ndarray, np.ndarray]:
+        return (config["block_size_x"] * config["tile_size_x"],
+                config["block_size_y"] * config["tile_size_y"])
 
-    def _shared_tile_bytes(self, config: Mapping[str, Any]) -> float:
+    def _shared_tile_bytes(self, config: ConfigColumns) -> np.ndarray:
         tile_x, tile_y = self._tile_dims(config)
         halo = self.filter_size - 1
-        pad = 1 if int(config["use_padding"]) else 0
-        return float((tile_x + halo + pad) * (tile_y + halo) * 4)
+        pad = np.where(config["use_padding"] != 0, 1, 0)
+        return ((tile_x + halo + pad) * (tile_y + halo) * 4).astype(float)
 
     # ---------------------------------------------------------------- launch shape
 
-    def launch_config(self, config: Mapping[str, Any], gpu: GPUSpec) -> KernelLaunchConfig:
-        bx = int(config["block_size_x"])
-        by = int(config["block_size_y"])
-        tx = int(config["tile_size_x"])
-        ty = int(config["tile_size_y"])
+    def launch_config(self, config: ConfigColumns, gpu: GPUSpec) -> KernelLaunchConfig:
+        bx = config["block_size_x"]
+        by = config["block_size_y"]
+        tx = config["tile_size_x"]
+        ty = config["tile_size_y"]
 
         tile_x, tile_y = self._tile_dims(config)
         out = self.image_size - self.filter_size + 1
-        grid = math.ceil(out / tile_x) * math.ceil(out / tile_y)
+        grid = np.ceil(out / tile_x) * np.ceil(out / tile_y)
 
         # One accumulator per output pixel of the thread plus input staging registers.
         registers = 16 + 2.0 * tx * ty + 0.5 * (tx + ty)
@@ -104,14 +107,12 @@ class ConvolutionModel(AnalyticalKernelModel):
 
     # -------------------------------------------------------------------- work
 
-    def flops(self, config: Mapping[str, Any], gpu: GPUSpec) -> float:
+    def flops(self, config: ConfigColumns, gpu: GPUSpec) -> float:
         out = self.image_size - self.filter_size + 1
         return 2.0 * float(out) * float(out) * self.filter_size * self.filter_size
 
-    def traffic(self, config: Mapping[str, Any], gpu: GPUSpec) -> MemoryTraffic:
-        bx = int(config["block_size_x"])
-        use_padding = bool(int(config["use_padding"]))
-        read_only = bool(int(config["read_only"]))
+    def traffic(self, config: ConfigColumns, gpu: GPUSpec) -> MemoryTraffic:
+        bx = config["block_size_x"]
 
         tile_x, tile_y = self._tile_dims(config)
         halo = self.filter_size - 1
@@ -119,26 +120,25 @@ class ConvolutionModel(AnalyticalKernelModel):
 
         # Every block reads its output tile plus the halo; small tiles re-read the halo
         # many times over the whole image.
-        halo_overhead = ((tile_x + halo) * (tile_y + halo)) / float(tile_x * tile_y)
+        halo_overhead = ((tile_x + halo) * (tile_y + halo)) / (tile_x * tile_y).astype(float)
         reads = float(out) * float(out) * 4.0 * halo_overhead
-        reads += self.filter_size * self.filter_size * 4.0
+        reads = reads + self.filter_size * self.filter_size * 4.0
         writes = float(out) * float(out) * 4.0
 
         efficiency = coalescing_efficiency(gpu, bx)
-        efficiency *= read_only_cache_factor(gpu, read_only)
-        efficiency /= bank_conflict_factor(gpu, bx, use_padding)
+        efficiency = efficiency * read_only_cache_factor(gpu, config["read_only"])
+        efficiency = efficiency / bank_conflict_factor(gpu, bx, config["use_padding"])
         return MemoryTraffic(read_bytes=reads, write_bytes=writes,
-                             efficiency=min(efficiency, 1.0))
+                             efficiency=np.minimum(efficiency, 1.0))
 
     # ----------------------------------------------------------- compute efficiency
 
-    def compute_efficiency(self, config: Mapping[str, Any], gpu: GPUSpec,
-                           occupancy: OccupancyResult) -> float:
-        bx = int(config["block_size_x"])
-        by = int(config["block_size_y"])
-        tx = int(config["tile_size_x"])
-        ty = int(config["tile_size_y"])
-        use_padding = bool(int(config["use_padding"]))
+    def compute_efficiency(self, config: ConfigColumns, gpu: GPUSpec,
+                           occupancy: OccupancyColumns) -> np.ndarray:
+        bx = config["block_size_x"]
+        by = config["block_size_y"]
+        tx = config["tile_size_x"]
+        ty = config["tile_size_y"]
 
         base = 0.52
         # Per-thread output tiles create register-level reuse of the filter and image
@@ -150,24 +150,26 @@ class ConvolutionModel(AnalyticalKernelModel):
         # random search (Fig. 2d) and the hardest to model (lowest R^2).
         work = tx * ty
         best_work = 16 if gpu.architecture == "Ampere" else 8
-        if work <= best_work:
-            work_factor = 0.62 + 0.38 * (math.log2(max(work, 1)) / math.log2(best_work))
-        else:
-            work_factor = max(1.0 - 0.10 * math.log2(work / best_work), 0.7)
+        work_factor = np.where(
+            work <= best_work,
+            0.62 + 0.38 * (unique_map(math.log2, np.maximum(work, 1)) / math.log2(best_work)),
+            np.maximum(1.0 - 0.10 * unique_map(math.log2, work / best_work), 0.7))
 
         # Wide-and-flat blocks keep warps row-aligned for the shared-memory reads;
         # tall-and-narrow blocks serialise them.  The preferred aspect ratio differs
         # between the families (Ampere's wider L1 sectors reward wider rows).
         best_aspect = 16.0 if gpu.architecture == "Ampere" else 4.0
-        aspect = bx / max(by, 1)
-        aspect_factor = max(1.0 - 0.07 * abs(math.log2(max(aspect, 1e-3) / best_aspect)), 0.60)
+        aspect = bx / np.maximum(by, 1)
+        aspect_factor = np.maximum(
+            1.0 - 0.07 * np.abs(unique_map(math.log2, np.maximum(aspect, 1e-3) / best_aspect)),
+            0.60)
 
         # The x-tile depth controls how many consecutive pixels a thread loads at once;
         # even values vectorise into float2/float4 accesses.
-        vector_factor = 1.04 if tx % 4 == 0 else (1.0 if tx % 2 == 0 else 0.93)
+        vector_factor = np.where(tx % 4 == 0, 1.04, np.where(tx % 2 == 0, 1.0, 0.93))
 
         # Shared-memory bank conflicts also slow the compute phase of the inner loop.
-        conflict = bank_conflict_factor(gpu, bx, use_padding)
+        conflict = bank_conflict_factor(gpu, bx, config["use_padding"])
 
         return base * work_factor * aspect_factor * vector_factor / conflict
 

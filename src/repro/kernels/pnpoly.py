@@ -17,11 +17,14 @@ from __future__ import annotations
 import math
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.core.constraints import ConstraintSet
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
+from repro.gpus.columns import ConfigColumns, unique_map
 from repro.gpus.memory import MemoryTraffic
-from repro.gpus.occupancy import OccupancyResult
+from repro.gpus.occupancy import OccupancyColumns
 from repro.gpus.perfmodel import AnalyticalKernelModel, KernelLaunchConfig
 from repro.gpus.specs import GPUSpec
 from repro.kernels.base import KernelBenchmark, Workload
@@ -70,15 +73,14 @@ class PnpolyModel(AnalyticalKernelModel):
 
     # ---------------------------------------------------------------- launch shape
 
-    def launch_config(self, config: Mapping[str, Any], gpu: GPUSpec) -> KernelLaunchConfig:
-        block = int(config["block_size_x"])
-        tile = int(config["tile_size"])
-        use_method = int(config["use_method"])
+    def launch_config(self, config: ConfigColumns, gpu: GPUSpec) -> KernelLaunchConfig:
+        block = config["block_size_x"]
+        tile = config["tile_size"]
 
-        grid = math.ceil(self.num_points / (block * tile))
+        grid = np.ceil(self.num_points / (block * tile))
         # Each in-flight point needs its coordinates and a parity/crossing register;
         # the counting variant (use_method == 1) keeps an extra integer alive.
-        registers = 20 + 2.4 * tile + (2.0 if use_method == 1 else 0.0)
+        registers = 20 + 2.4 * tile + np.where(config["use_method"] == 1, 2.0, 0.0)
         # The polygon vertices are staged once per block in shared memory.
         shared_bytes = float(self.num_vertices * 2 * 4)
 
@@ -92,10 +94,10 @@ class PnpolyModel(AnalyticalKernelModel):
 
     # -------------------------------------------------------------------- work
 
-    def flops(self, config: Mapping[str, Any], gpu: GPUSpec) -> float:
+    def flops(self, config: ConfigColumns, gpu: GPUSpec) -> float:
         return self.OPS_PER_EDGE * float(self.num_points) * float(self.num_vertices)
 
-    def traffic(self, config: Mapping[str, Any], gpu: GPUSpec) -> MemoryTraffic:
+    def traffic(self, config: ConfigColumns, gpu: GPUSpec) -> MemoryTraffic:
         # Points are read once (two float coordinates) and a boolean/int result written.
         reads = float(self.num_points) * 8.0 + float(self.num_vertices) * 8.0
         writes = float(self.num_points) * 4.0
@@ -103,11 +105,9 @@ class PnpolyModel(AnalyticalKernelModel):
 
     # ----------------------------------------------------------- compute efficiency
 
-    def compute_efficiency(self, config: Mapping[str, Any], gpu: GPUSpec,
-                           occupancy: OccupancyResult) -> float:
-        tile = int(config["tile_size"])
-        between_method = int(config["between_method"])
-        use_method = int(config["use_method"])
+    def compute_efficiency(self, config: ConfigColumns, gpu: GPUSpec,
+                           occupancy: OccupancyColumns) -> np.ndarray:
+        tile = config["tile_size"]
 
         base = 0.50
 
@@ -119,19 +119,19 @@ class PnpolyModel(AnalyticalKernelModel):
         # what gives the benchmark its ~1.5x tuning headroom despite having only four
         # parameters.
         if gpu.architecture == "Ampere":
-            between_factor = {0: 0.84, 1: 0.78, 2: 1.00, 3: 0.72}[between_method]
-            use_factor = {0: 0.95, 1: 0.86, 2: 1.00}[use_method]
+            between_factors, use_factors = [0.84, 0.78, 1.00, 0.72], [0.95, 0.86, 1.00]
         else:
-            between_factor = {0: 1.00, 1: 0.92, 2: 0.82, 3: 0.76}[between_method]
-            use_factor = {0: 1.00, 1: 0.94, 2: 0.88}[use_method]
+            between_factors, use_factors = [1.00, 0.92, 0.82, 0.76], [1.00, 0.94, 0.88]
+        between_factor = np.array(between_factors)[config["between_method"]]
+        use_factor = np.array(use_factors)[config["use_method"]]
 
         # More points per thread amortise the per-point setup, with a sweet spot that
         # is architecture dependent (deeper batches help Ampere's dual-issue pipes).
         best_tile = 12 if gpu.architecture == "Ampere" else 6
-        if tile <= best_tile:
-            tile_factor = 0.86 + 0.14 * (math.log2(max(tile, 1)) / math.log2(best_tile))
-        else:
-            tile_factor = max(1.0 - 0.05 * math.log2(tile / best_tile), 0.85)
+        tile_factor = np.where(
+            tile <= best_tile,
+            0.86 + 0.14 * (unique_map(math.log2, np.maximum(tile, 1)) / math.log2(best_tile)),
+            np.maximum(1.0 - 0.05 * unique_map(math.log2, tile / best_tile), 0.85))
 
         return base * between_factor * use_factor * tile_factor
 

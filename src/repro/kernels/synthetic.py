@@ -38,15 +38,18 @@ import math
 # repro: allow[RPL001] only seeded random.Random(stable_hash(...)) instances are
 # built below; the module-level global-state functions are never called
 import random
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
+
+import numpy as np
 
 from repro.core.constraints import ConstraintSet
 from repro.core.errors import ReproError, ResourceLimitError
 from repro.core.parameter import Parameter
 from repro.core.searchspace import SearchSpace
-from repro.gpus.noise import config_noise, stable_hash
-from repro.gpus.occupancy import OccupancyResult
-from repro.gpus.perfmodel import AnalyticalKernelModel, KernelLaunchConfig, ModelEstimate
+from repro.gpus.columns import ConfigColumns, unique_map
+from repro.gpus.noise import stable_hash, stable_hashes
+from repro.gpus.occupancy import OccupancyColumns
+from repro.gpus.perfmodel import AnalyticalKernelModel, KernelLaunchConfig, LaunchColumns
 from repro.gpus.specs import GPUSpec
 from repro.kernels.base import KernelBenchmark, Workload
 
@@ -76,9 +79,9 @@ class SyntheticKernelModel(AnalyticalKernelModel):
     The model bypasses the roofline combiner: the simulated runtime is an explicit
     function of the configuration's normalized digit coordinates (family-dependent,
     see the module docstring), scaled to ``base_time_ms`` and perturbed by the same
-    deterministic lognormal noise the kernel models use.  ``occupancy`` and
-    ``estimate`` share one failure draw, so validity checks and measurements can
-    never disagree about which configurations fail.
+    deterministic lognormal noise the kernel models use.  The failure draw lives in
+    the launch stage, so validity checks and measurements can never disagree about
+    which configurations fail.
 
     Parameters
     ----------
@@ -119,17 +122,19 @@ class SyntheticKernelModel(AnalyticalKernelModel):
 
     # ----------------------------------------------------------------- coordinates
 
-    def _coordinates(self, config: Mapping[str, Any]) -> list[float]:
+    def _coordinates(self, config: ConfigColumns) -> list[np.ndarray]:
         """Normalized digit coordinates in ``[0, 1]`` per parameter."""
         coords = []
         for name, positions, span in zip(self._names, self._positions, self._spans):
-            try:
-                digit = positions[config[name]]
-            except KeyError:
+            column = config[name] if name in config else None
+            digits = (unique_map(lambda value: positions.get(value, -1), column)
+                      if column is not None else np.full(config.n, -1))
+            if (digits < 0).any():
+                value = None if column is None else column[int(np.argmax(digits < 0))].item()
                 raise ReproError(
-                    f"configuration value {config.get(name)!r} for {name!r} is not "
-                    f"part of scenario {self.name!r}") from None
-            coords.append(digit / span)
+                    f"configuration value {value!r} for {name!r} is not "
+                    f"part of scenario {self.name!r}")
+            coords.append(digits / span)
         return coords
 
     def _device_center(self, gpu: GPUSpec, j: int) -> float:
@@ -138,25 +143,9 @@ class SyntheticKernelModel(AnalyticalKernelModel):
         offset = (draw / _FAILURE_BUCKETS - 0.5) * 2.0 * self.device_shift
         return min(max(0.5 + offset, 0.0), 1.0)
 
-    # ---------------------------------------------------------------- failure model
-
-    def _failure_draw(self, config: Mapping[str, Any], gpu: GPUSpec) -> bool:
-        """Deterministic, process-stable failure verdict for one configuration."""
-        if self.failure_rate <= 0.0:
-            return False
-        draw = stable_hash("synthetic-fail", gpu.name, self.name, config)
-        return (draw % _FAILURE_BUCKETS) / _FAILURE_BUCKETS < self.failure_rate
-
-    def _check_launchable(self, config: Mapping[str, Any], gpu: GPUSpec) -> None:
-        if self._failure_draw(config, gpu):
-            raise ResourceLimitError(
-                f"synthetic scenario {self.name!r} rejects this configuration on "
-                f"{gpu.name} (deterministic failure model, "
-                f"rate {self.failure_rate:g})", resource="synthetic")
-
     # --------------------------------------------------------------- value surface
 
-    def surface(self, config: Mapping[str, Any], gpu: GPUSpec) -> float:
+    def surface(self, config: ConfigColumns, gpu: GPUSpec) -> np.ndarray:
         """Family value surface over the normalized coordinates (>= 0)."""
         x = self._coordinates(config)
         centers = [self._device_center(gpu, j) for j in range(len(x))]
@@ -165,7 +154,8 @@ class SyntheticKernelModel(AnalyticalKernelModel):
             for xj, cj, w, amp, k in zip(x, centers, self._weights,
                                          self._ripples, self._frequencies):
                 d = xj - cj
-                total += w * (d * d + amp * (1.0 - math.cos(2.0 * math.pi * k * d)))
+                ripple = unique_map(lambda v, k=k: math.cos(2.0 * math.pi * k * v), d)
+                total = total + w * (d * d + amp * (1.0 - ripple))
             return total
         # Coupled (rosenbrock-like): consecutive coordinates share a curved valley
         # whose position shifts per device.
@@ -173,38 +163,51 @@ class SyntheticKernelModel(AnalyticalKernelModel):
         total = 0.0
         for j in range(len(y) - 1):
             w = self._weights[j]
-            total += w * (4.0 * (y[j + 1] - y[j] * y[j]) ** 2
-                          + 0.25 * (1.0 - y[j]) ** 2)
+            total = total + w * (4.0 * _square(y[j + 1] - y[j] * y[j])
+                                 + 0.25 * _square(1.0 - y[j]))
         if len(y) == 1:  # degenerate single-parameter scenario
-            total = self._weights[0] * (1.0 - y[0]) ** 2
+            total = self._weights[0] * _square(1.0 - y[0])
         return total
 
     # ------------------------------------------------------------------ model API
 
-    def occupancy(self, config: Mapping[str, Any], gpu: GPUSpec) -> OccupancyResult:
-        """Launch feasibility check; raises for failure-model configurations."""
-        self._check_launchable(config, gpu)
-        return OccupancyResult(blocks_per_sm=4, active_warps=16, occupancy=0.5,
-                               limiting_factor="synthetic", warps_per_block=4)
-
-    def estimate(self, config: Mapping[str, Any], gpu: GPUSpec,
-                 with_noise: bool = True) -> ModelEstimate:
-        """Simulated measurement of one configuration (see the class docstring)."""
-        self._check_launchable(config, gpu)
-        occ = OccupancyResult(blocks_per_sm=4, active_warps=16, occupancy=0.5,
-                              limiting_factor="synthetic", warps_per_block=4)
+    def launch_columns(self, config: ConfigColumns, gpu: GPUSpec) -> LaunchColumns:
+        """Constant launch shape; the deterministic failure model marks failing rows."""
+        n = config.n
+        errors: dict[int, ResourceLimitError] = {}
+        if self.failure_rate > 0.0:
+            draws = stable_hashes(("synthetic-fail", gpu.name, self.name), config.rendered())
+            for i, draw in enumerate(draws):
+                if (draw % _FAILURE_BUCKETS) / _FAILURE_BUCKETS < self.failure_rate:
+                    errors[i] = ResourceLimitError(
+                        f"synthetic scenario {self.name!r} rejects this configuration on "
+                        f"{gpu.name} (deterministic failure model, "
+                        f"rate {self.failure_rate:g})", resource="synthetic")
+        occupancy = OccupancyColumns(
+            blocks_per_sm=np.full(n, 4), active_warps=np.full(n, 16),
+            occupancy=np.full(n, 0.5), limiting_factor=np.full(n, "synthetic"),
+            warps_per_block=np.full(n, 4))
         launch = KernelLaunchConfig(threads_per_block=128, grid_blocks=1024,
                                     registers_per_thread=32.0, shared_mem_bytes=0.0)
+        return LaunchColumns(launch.columns(n), np.zeros(n), occupancy, errors)
+
+    def compose(self, config: ConfigColumns, gpu: GPUSpec, launch: KernelLaunchConfig,
+                occ: OccupancyColumns, with_noise: bool = True,
+                spill_fraction: Any = 0.0) -> tuple[Any, Any, Any, dict[str, Any]]:
+        """Simulated runtimes of a block (see the class docstring)."""
         surface = self.surface(config, gpu)
         total = self.base_time_ms * (0.2 + surface)
         factors = {"surface": surface}
         if with_noise:
-            noise = config_noise(gpu.name, self.name, config, sigma=self.noise_sigma)
-            total *= noise
+            noise = self.noise(config, gpu)
+            total = total * noise
             factors["noise"] = noise
-        return ModelEstimate(time_ms=float(total), compute_time_ms=float(total),
-                             memory_time_ms=0.0, occupancy=occ, launch=launch,
-                             factors=factors)
+        return total, total, 0.0, factors
+
+
+def _square(column: np.ndarray) -> np.ndarray:
+    """``column ** 2`` with Python's ``pow`` (bit-identical to scalar Python)."""
+    return unique_map(lambda v: v ** 2, column)
 
 
 # ----------------------------------------------------------------- space generation

@@ -305,9 +305,8 @@ class TestFragmentsAndMerge:
         for shard in reversed(plan.shards):
             unit = next(u for u in plan.units if u.key == shard.unit_key)
             benchmark = planner.benchmarks[shard.benchmark]
-            configs = benchmark.space.configs_at(
-                indices[unit.key][shard.start:shard.stop])
-            rows = benchmark.evaluate_batch(planner.gpus[shard.gpu], configs,
+            rows = benchmark.evaluate_batch(planner.gpus[shard.gpu],
+                                            indices[unit.key][shard.start:shard.stop],
                                             with_noise=unit.with_noise)
             store.save_shard(shard, rows)
         caches = resume_campaign(CheckpointStore(directory),

@@ -263,3 +263,33 @@ def test_exact_constrained_count_gemm_under_ceiling(benchmarks):
         f"exact GEMM constrained count took {elapsed:.2f}s "
         f"(ceiling {COUNT_GEMM_CEILING_S}s); the compiled constraint masks have "
         f"likely regressed to per-config evaluation")
+
+
+@pytest.mark.parametrize("name", ["expdist", "convolution"])
+def test_evaluate_batch_makes_no_per_config_model_calls(benchmarks, gpu_3090, name,
+                                                        monkeypatch):
+    # Counts, not a wall-clock ceiling: a 2 500-index shard goes through the
+    # column model in one pass, so neither the scalar noise hash nor the
+    # per-config estimate may run even once.  A regression to per-row loops
+    # fails here deterministically instead of flaking on a slow host.
+    import repro.gpus.noise as noise
+    from repro.gpus.perfmodel import AnalyticalKernelModel
+
+    calls = {"stable_hash": 0, "estimate": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(noise, "stable_hash", counted("stable_hash", noise.stable_hash))
+    monkeypatch.setattr(AnalyticalKernelModel, "estimate",
+                        counted("estimate", AnalyticalKernelModel.estimate))
+    benchmark = benchmarks[name]
+    indices = benchmark.space.sample_indices(2_500, rng=11, valid_only=True, unique=True)
+    rows = benchmark.evaluate_batch(gpu_3090, indices)
+    assert len(rows) == 2_500 and any(valid for _, valid, _ in rows)
+    assert calls == {"stable_hash": 0, "estimate": 0}, (
+        f"evaluate_batch over a 2 500-index shard made per-config calls {calls}; "
+        f"the column perf model has regressed to a per-row loop")
