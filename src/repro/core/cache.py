@@ -19,9 +19,20 @@ configuration dictionary (sort, tuple-ify, hash) is what made the seed's simulat
 loop Python-bound.  :meth:`EvaluationCache.index_table` exposes the store as a
 columnar table keyed by mixed-radix *space index* instead: dense ``row_of`` array for
 small spaces, an int->row hash for the huge sampled ones, with aligned float/bool
-``values``/``failure`` columns.  The table is built lazily in one batch from the dict
-store and kept in sync by :meth:`add`/:meth:`add_observation` (mutations queue and
-flush on the next table access), so both views always answer identically.
+``values``/``failure`` columns.  The table is built lazily in one batch (straight off
+the columns of a column-backed cache, otherwise from the dict store) and kept in sync
+by :meth:`add`/:meth:`add_observation` (mutations queue and flush on the next table
+access), so both views always answer identically.
+
+Column-backed caches
+--------------------
+Campaign caches are born as columns: the executors' merge,
+:meth:`~repro.kernels.base.KernelBenchmark.build_cache` and
+:meth:`EvaluationCache.from_columnar` hand the cache aligned space-index, value and
+failure-code columns plus an interned error table
+(:meth:`EvaluationCache.attach_columns`), and the analyses' accessors read those
+columns without building one :class:`Observation` per row (see the class notes for
+which accessors materialise).
 
 Cache formats
 -------------
@@ -33,10 +44,9 @@ Two on-disk formats carry a cache, with one compatibility guarantee between them
 * **Columnar** (:mod:`repro.io.columnar`, :meth:`EvaluationCache.to_columnar` /
   :meth:`~EvaluationCache.from_columnar`) is the *performance* format: fixed-width
   little-endian index/value/failure-code columns behind a checksummed header.
-  ``from_columnar(mmap=True)`` opens without rehydrating the observation dictionary
-  -- the :class:`CacheIndexTable` is built straight off the memory-mapped columns and
-  the dict store materialises lazily only when a dictionary-keyed accessor is
-  actually used -- so replay opens are cheap and concurrent readers share pages.
+  ``from_columnar(mmap=True)`` opens as a column-backed cache over the
+  memory-mapped columns, so replay opens are cheap and concurrent readers share
+  pages.
 
 A cache round-tripped through the columnar store serializes back to byte-identical
 JSON (same observations, same ``evaluation_index`` assignment, same error strings),
@@ -51,7 +61,8 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.errors import (CacheMissError, FragmentIntegrityError, ReproError,
+from repro.core.errors import (CacheMissError, FragmentIntegrityError,
+                               InvalidConfigurationError, ReproError,
                                SerializationError)
 from repro.core.problem import TuningProblem
 from repro.core.result import LazyConfig, Observation
@@ -96,7 +107,7 @@ class CacheIndexTable:
                      values: np.ndarray, failure: np.ndarray) -> "CacheIndexTable":
         """Build a table directly over existing columns (no per-row staging).
 
-        This is how a memory-mapped columnar cache backs its index table: the
+        This is how a column-backed cache backs its index table: the
         ``values``/``failure`` arrays are adopted by reference (they may be
         read-only mmap views -- :meth:`store` copies on first write), and only
         the ``index -> row`` structure is materialised here.  ``indices`` must
@@ -190,6 +201,12 @@ class CacheIndexTable:
             self._sorted_rows = rows[order]
         return self._sorted_keys, self._sorted_rows
 
+    def row(self, index: int) -> int:
+        """Row (insertion position) of one space index, or -1 when not stored."""
+        if self._dense:
+            return int(self._row_of[index]) if 0 <= index < self._cardinality else -1
+        return self._row_of.get(index, -1)
+
     def lookup_one(self, index: int) -> tuple[float, bool, bool]:
         """``(value, failure, found)`` of one space index.
 
@@ -236,13 +253,13 @@ class _LazyColumns:
     """Columnar rows adopted by a cache but not yet materialised as Observations.
 
     Holds the (possibly memory-mapped, read-only) index/value/code arrays plus
-    the interned error table of one columnar cache file.  The owning
-    :class:`EvaluationCache` answers ``len``/counters/index-table queries straight
-    off these arrays and only decodes them into :class:`Observation` objects when
-    a dictionary-keyed accessor is actually used.
+    the interned error table, and the per-row ``Observation.is_failure`` flags
+    derived from them once.  The owning :class:`EvaluationCache` answers its
+    column-reading accessors straight off these arrays and only decodes them into
+    :class:`Observation` objects when every observation is asked for.
     """
 
-    __slots__ = ("indices", "values", "codes", "errors")
+    __slots__ = ("indices", "values", "codes", "errors", "failure")
 
     def __init__(self, indices: np.ndarray, values: np.ndarray,
                  codes: np.ndarray, errors: Sequence[str]):
@@ -250,11 +267,7 @@ class _LazyColumns:
         self.values = values
         self.codes = codes
         self.errors = list(errors)
-
-    @property
-    def failure(self) -> np.ndarray:
-        """Per-row ``Observation.is_failure`` flags, straight from the columns."""
-        return (self.codes >= 0) | ~np.isfinite(self.values)
+        self.failure = (codes >= 0) | ~np.isfinite(values)
 
 
 class EvaluationCache:
@@ -272,6 +285,21 @@ class EvaluationCache:
         True when the cache covers every valid configuration of the space (affects how
         analyses interpret the data; the paper marks Hotspot/Dedisp/Expdist caches as
         sampled).
+
+    Notes
+    -----
+    A cache holds its rows either as adopted columns (:meth:`attach_columns`; every
+    campaign cache starts this way) or as a dictionary of observations (built by
+    :meth:`add`/:meth:`add_observation`).  On a column-backed cache ``len``,
+    :attr:`num_valid`/:attr:`num_invalid`, :meth:`values`, :meth:`configs`,
+    :meth:`valid_indices`, :meth:`median`, :meth:`statistics`,
+    :meth:`to_feature_matrix`, :meth:`best`/:meth:`worst`/:meth:`optimum`,
+    :meth:`get`/:meth:`lookup`/``in``, :meth:`index_table` and :meth:`to_columnar`
+    read the columns (the lookups and extremes build the one observation they
+    return).  Iteration, :attr:`observations`, :meth:`valid_observations`,
+    :meth:`to_dict` and any mutation materialise the dictionary; from then on the
+    cache is dictionary-backed.  Both representations answer every accessor
+    identically.
     """
 
     def __init__(self, benchmark: str, gpu: str, space: SearchSpace,
@@ -369,7 +397,7 @@ class EvaluationCache:
         """
         if self._index_table is None:
             if self._lazy is not None:
-                # Columnar-backed cache: build the table straight off the mapped
+                # Column-backed cache: build the table straight off the adopted
                 # columns.  No observation objects, no dict, no per-row Python.
                 lazy = self._lazy
                 self._index_table = CacheIndexTable.from_columns(
@@ -390,14 +418,37 @@ class EvaluationCache:
         return len(self._store)
 
     def __contains__(self, config: Mapping[str, Any]) -> bool:
-        return config_key(config) in self._entries
+        if self._lazy is not None:
+            return self._row_of(config) >= 0
+        return config_key(config) in self._store
 
     def __iter__(self) -> Iterator[Observation]:
         return iter(self._entries.values())
 
+    def _row_of(self, config: Mapping[str, Any]) -> int:
+        """Row of ``config`` in the adopted columns, -1 when it is not stored."""
+        try:
+            index = self.space.index_of(config)
+        except InvalidConfigurationError:
+            return -1  # not a member of the space, so never stored
+        return self.index_table().row(index)
+
+    def _observation_at(self, row: int) -> Observation:
+        """Row ``row`` of the adopted columns, exactly as materialisation builds it."""
+        lazy = self._lazy
+        code = int(lazy.codes[row])
+        valid = code < 0
+        return Observation.fast(LazyConfig(self.space, int(lazy.indices[row])),
+                                float(lazy.values[row]), valid,
+                                lazy.errors[-code - 1 if valid else code], row,
+                                self.gpu, self.benchmark)
+
     def get(self, config: Mapping[str, Any]) -> Observation | None:
         """The stored observation for ``config`` or None."""
-        return self._entries.get(config_key(config))
+        if self._lazy is not None:
+            row = self._row_of(config)
+            return self._observation_at(row) if row >= 0 else None
+        return self._store.get(config_key(config))
 
     def lookup(self, config: Mapping[str, Any]) -> Observation:
         """Like :meth:`get` but raises :class:`CacheMissError` when absent."""
@@ -416,20 +467,17 @@ class EvaluationCache:
         """Only the successfully measured configurations."""
         return [o for o in self._entries.values() if not o.is_failure]
 
-    def valid_arrays(self) -> tuple[list[dict[str, Any]], np.ndarray]:
-        """Configurations and runtimes of the valid entries, in one pass.
+    def valid_indices(self) -> np.ndarray:
+        """Space indices of the valid entries, aligned with :meth:`values`.
 
-        This is the array-native export the graph layer builds on: the configuration
-        list is aligned with the float runtime vector, ready to be turned into a digit
-        matrix by :meth:`~repro.core.searchspace.SearchSpace.digits_of_configs`.
+        This is the array-native export the graph layer builds on.  Raises
+        :class:`~repro.core.errors.InvalidConfigurationError` when a stored
+        configuration is not a member of the space's Cartesian product.
         """
-        configs: list[dict[str, Any]] = []
-        values: list[float] = []
-        for o in self._entries.values():
-            if not o.is_failure:
-                configs.append(dict(o.config))
-                values.append(o.value)
-        return configs, np.asarray(values, dtype=float)
+        if self._lazy is not None:
+            return self._lazy.indices[~self._lazy.failure]
+        return self.space.indices_of_configs(
+            [o.config for o in self._store.values() if not o.is_failure])
 
     @property
     def num_valid(self) -> int:
@@ -450,30 +498,42 @@ class EvaluationCache:
 
     def values(self, valid_only: bool = True) -> np.ndarray:
         """Measured runtimes as a float array (valid entries only by default)."""
+        if self._lazy is not None:
+            lazy = self._lazy
+            return lazy.values[~lazy.failure] if valid_only else np.array(lazy.values)
         if valid_only:
-            return np.array([o.value for o in self._entries.values() if not o.is_failure],
+            return np.array([o.value for o in self._store.values() if not o.is_failure],
                             dtype=float)
-        return np.array([o.value for o in self._entries.values()], dtype=float)
+        return np.array([o.value for o in self._store.values()], dtype=float)
 
     def configs(self, valid_only: bool = True) -> list[dict[str, Any]]:
         """Stored configurations, aligned with :meth:`values`."""
+        if self._lazy is not None:
+            return self.space.configs_at(
+                self.valid_indices() if valid_only else self._lazy.indices)
         if valid_only:
-            return [dict(o.config) for o in self._entries.values() if not o.is_failure]
-        return [dict(o.config) for o in self._entries.values()]
+            return [dict(o.config) for o in self._store.values() if not o.is_failure]
+        return [dict(o.config) for o in self._store.values()]
+
+    def _extreme(self, arg: Any, pick: Any) -> Observation:
+        """The first valid observation whose value ``arg``/``pick`` selects."""
+        if self._lazy is not None:
+            rows = np.flatnonzero(~self._lazy.failure)
+            if rows.size:
+                return self._observation_at(int(rows[arg(self._lazy.values[rows])]))
+        else:
+            valid = self.valid_observations()
+            if valid:
+                return pick(valid, key=lambda o: o.value)
+        raise ReproError(f"cache {self.benchmark}/{self.gpu} has no valid entries")
 
     def best(self) -> Observation:
-        """The fastest configuration in the cache."""
-        valid = self.valid_observations()
-        if not valid:
-            raise ReproError(f"cache {self.benchmark}/{self.gpu} has no valid entries")
-        return min(valid, key=lambda o: o.value)
+        """The fastest configuration in the cache (the first one, on ties)."""
+        return self._extreme(np.argmin, min)
 
     def worst(self) -> Observation:
-        """The slowest valid configuration in the cache."""
-        valid = self.valid_observations()
-        if not valid:
-            raise ReproError(f"cache {self.benchmark}/{self.gpu} has no valid entries")
-        return max(valid, key=lambda o: o.value)
+        """The slowest valid configuration in the cache (the first one, on ties)."""
+        return self._extreme(np.argmax, max)
 
     def optimum(self) -> float:
         """Runtime of the best configuration (the paper's reference optimum)."""
@@ -492,7 +552,7 @@ class EvaluationCache:
         if vals.size == 0:
             raise ReproError(f"cache {self.benchmark}/{self.gpu} has no valid entries")
         return {
-            "count": float(len(self._entries)),
+            "count": float(len(self)),
             "valid": float(vals.size),
             "best": float(vals.min()),
             "worst": float(vals.max()),
@@ -507,17 +567,17 @@ class EvaluationCache:
         """Encode the cache as ``(X, y)`` for the ML substrate.
 
         ``X`` has one column per parameter (in search-space order), ``y`` holds the
-        measured runtimes.
+        measured runtimes.  A column-backed cache encodes its space indices
+        directly (:meth:`~repro.core.searchspace.SearchSpace.encode_indices`).
         """
-        configs = self.configs(valid_only=valid_only)
-        if not configs:
+        if len(self) == 0 or (valid_only and self.num_valid == 0):
             raise ReproError(f"cache {self.benchmark}/{self.gpu} has no entries to encode")
-        X = self.space.encode_batch(configs)
-        if valid_only:
-            y = self.values(valid_only=True)
+        if self._lazy is not None:
+            X = self.space.encode_indices(
+                self.valid_indices() if valid_only else self._lazy.indices)
         else:
-            y = np.array([o.value for o in self._entries.values()], dtype=float)
-        return X, y
+            X = self.space.encode_batch(self.configs(valid_only=valid_only))
+        return X, self.values(valid_only=valid_only)
 
     # ------------------------------------------------------------------ replay
 
@@ -678,10 +738,9 @@ class EvaluationCache:
         """Open a columnar cache file; the inverse of :meth:`to_columnar`.
 
         With ``mmap=True`` (default) the index/value/code columns stay read-only
-        views of the memory-mapped file: the :class:`CacheIndexTable` is built
-        straight off them and the observation dictionary materialises only when a
-        dictionary-keyed accessor is used, so opening for index-native replay
-        costs one header parse -- not one Python object per row.  ``space`` may
+        views of the memory-mapped file and the cache is column-backed (see the
+        class notes), so opening for index-native replay or analysis costs one
+        header parse -- not one Python object per row.  ``space`` may
         be supplied to reuse an existing space object, like :meth:`from_dict`.
         """
         from repro.io import columnar
@@ -700,36 +759,41 @@ class EvaluationCache:
                               payload.columns["code"], payload.errors)
         return cache
 
-    @classmethod
-    def from_columns(cls, benchmark: str, gpu: str, space: SearchSpace,
-                     indices: np.ndarray, values: np.ndarray, codes: np.ndarray,
-                     errors: Sequence[str],
-                     exhaustive: bool = False) -> "EvaluationCache":
-        """Build a cache directly over in-memory columns (no per-row inserts).
-
-        The no-decode merge path: executors concatenate shard fragment columns
-        (:func:`repro.io.columnar.concat_fragment_columns`) and adopt the result
-        here, paired with the shard-order space indices of the plan.
-        """
-        cache = cls(benchmark=benchmark, gpu=gpu, space=space,
-                    exhaustive=exhaustive)
-        cache.attach_columns(indices, values, codes, errors)
-        return cache
-
     def attach_columns(self, indices: np.ndarray, values: np.ndarray,
-                        codes: np.ndarray, errors: Sequence[str]) -> None:
+                       codes: np.ndarray, errors: Sequence[str]) -> None:
+        """Adopt aligned columns as this (empty) cache's rows, in insertion order.
+
+        ``indices`` are duplicate-free space indices, ``values`` the measured
+        runtimes, and ``codes`` the failure codes into the interned ``errors``
+        table (see :func:`repro.io.columnar.encode_failure_codes`); row position
+        is ``evaluation_index``.  The arrays are adopted by reference, not copied.
+        Columns that disagree on length, indices outside the space and codes
+        outside the error table raise
+        :class:`~repro.core.errors.FragmentIntegrityError` here, before any
+        accessor can read them.
+        """
         if self._store or self._lazy is not None or self._index_table is not None:
             raise ReproError("columns can only be attached to an empty cache")
         indices = np.asarray(indices, dtype=np.int64)
+        values = np.asarray(values, dtype=float)
+        codes = np.asarray(codes, dtype=np.int32)
+        where = f"columnar cache {self.benchmark}/{self.gpu}"
+        if not indices.shape == values.shape == codes.shape == (indices.size,):
+            raise FragmentIntegrityError(
+                f"{where} has misaligned columns: {indices.size} indices, "
+                f"{values.size} values, {codes.size} failure codes")
         if indices.size:
             lo, hi = int(indices.min()), int(indices.max())
             if lo < 0 or hi >= self.space.cardinality:
                 raise FragmentIntegrityError(
-                    f"columnar cache {self.benchmark}/{self.gpu} carries space "
-                    f"index {lo if lo < 0 else hi} outside the space's "
-                    f"{self.space.cardinality} configurations")
-        lazy = _LazyColumns(indices, np.asarray(values, dtype=float),
-                            np.asarray(codes, dtype=np.int32), errors)
+                    f"{where} carries space index {lo if lo < 0 else hi} outside "
+                    f"the space's {self.space.cardinality} configurations")
+            lo, hi = int(codes.min()), int(codes.max())
+            if lo < -len(errors) or hi >= len(errors):
+                raise FragmentIntegrityError(
+                    f"{where} carries failure code {lo if lo < -len(errors) else hi} "
+                    f"outside its interned table of {len(errors)} error strings")
+        lazy = _LazyColumns(indices, values, codes, errors)
         self._lazy = lazy
         self._num_failures = int(np.count_nonzero(lazy.failure))
 

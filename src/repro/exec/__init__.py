@@ -18,7 +18,10 @@ Quick start::
 The division of labour mirrors worker-queue runner services: a *planner* that owns
 the deterministic work breakdown, stateless *workers* that evaluate index slices by
 name or by picklable spec, a *checkpoint store* for completed work units, and
-*executors* that merge in plan order.  Custom benchmarks are first-class: anything
+*executors* that merge in plan order.  Shard results travel as columns throughout
+(value and failure-code arrays plus an interned error table,
+:class:`~repro.io.columnar.ShardColumns`): the merge concatenates them and attaches
+them to column-backed caches, whether the shards ran now or came off disk.  Custom benchmarks are first-class: anything
 registered through :func:`repro.core.registry.register_benchmark` (e.g. the
 generated scenarios of :mod:`repro.kernels.synthetic`) plans, runs in parallel and
 resumes exactly like the built-in kernels -- its ``"module:factory"`` spec rides the

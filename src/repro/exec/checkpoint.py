@@ -55,6 +55,7 @@ from repro.io.cachefile import (
 )
 from repro.io.columnar import (
     COLUMNAR_SUFFIX,
+    ShardColumns,
     load_columnar_fragment,
     load_columnar_fragment_columns,
     save_columnar_fragment,
@@ -208,8 +209,13 @@ class CheckpointStore:
         return {s.shard_id for s in plan.shards if self.fragment_path(s).exists()}
 
     def save_shard(self, shard: Shard,
-                   rows: Sequence[tuple[float, bool, str]]) -> Path:
-        """Atomically persist the rows of one completed shard."""
+                   rows: ShardColumns | Sequence[tuple[float, bool, str]]) -> Path:
+        """Atomically persist the rows of one completed shard.
+
+        Columnar fragments write :class:`~repro.io.columnar.ShardColumns` as they
+        are; JSON fragments iterate them as ``(value, valid, error)`` rows, which
+        decodes them at the file boundary.
+        """
         if len(rows) != shard.n_configs:
             raise SerializationError(
                 f"shard {shard.shard_id} produced {len(rows)} rows, "
@@ -242,22 +248,20 @@ class CheckpointStore:
         self._validate_shard_meta(shard, meta, len(rows))
         return rows
 
-    def load_shard_columns(self, shard: Shard) -> tuple[Any, Any, list[str]]:
-        """Load one columnar shard as raw ``(values, codes, errors)`` columns.
+    def load_shard_columns(self, shard: Shard) -> ShardColumns:
+        """Load and validate one completed shard as columns.
 
-        The no-decode form the executors' merge concatenates
+        The form the executors' merge concatenates
         (:func:`repro.io.columnar.concat_fragment_columns`); validation matches
-        :meth:`load_shard` exactly.  Only meaningful for columnar directories.
+        :meth:`load_shard` exactly.  Columnar fragments are read without decoding
+        a row; JSON fragments are encoded to columns here, at the IO boundary.
         """
         if self.fragment_format != "columnar":
-            raise SerializationError(
-                f"checkpoint directory {self.directory} holds "
-                f"{self.fragment_format} fragments; load_shard_columns requires "
-                f"the columnar format")
+            return ShardColumns.from_rows(self.load_shard(shard))
         meta, values, codes, errors = load_columnar_fragment_columns(
             self.fragment_path(shard))
         self._validate_shard_meta(shard, meta, int(values.size))
-        return values, codes, errors
+        return ShardColumns(values, codes, errors)
 
     def verify_fragments(self, plan: CampaignPlan | None = None) -> dict[str, Any]:
         """Full integrity sweep of every fragment against the manifest (doctor).

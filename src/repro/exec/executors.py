@@ -9,9 +9,17 @@ three facts the planner and worker modules establish:
    (ascending feasible set, or the seeded unique-sampling stream);
 2. each configuration's measurement is a pure function of (benchmark, GPU,
    configuration) -- the noise model is hash-based and process-stable;
-3. shards partition the evaluation order into contiguous slices, so merging rows in
-   shard order reconstructs the serial insertion order exactly (including
-   ``evaluation_index`` assignment).
+3. shards partition the evaluation order into contiguous slices, so concatenating
+   shard columns in shard order reconstructs the serial insertion order exactly
+   (including ``evaluation_index`` assignment).
+
+Shard results are columns end to end: the perf model produces each shard's
+value/code columns and error table (:class:`~repro.io.columnar.ShardColumns`),
+workers send them over their pipe, checkpoints persist them, and the merge
+concatenates them per unit and hands them to the cache
+(:meth:`~repro.core.cache.EvaluationCache.attach_columns`) -- whether a shard ran
+in this run or was loaded from disk.  No per-row Python runs between the model
+and the merged cache.
 
 :class:`SerialExecutor` evaluates shards in-process and is the reference
 implementation; :class:`ParallelExecutor` drives one long-lived worker process per
@@ -28,7 +36,7 @@ same contracts:
   is re-queued after a deterministic backoff
   (:class:`~repro.exec.retry.RetryPolicy`); because shard evaluation is a pure
   function of (benchmark, GPU, indices), a retried shard reproduces exactly the
-  rows the failed attempt would have produced, so retries never threaten the
+  columns the failed attempt would have produced, so retries never threaten the
   byte-identical-merge contract;
 * **timeouts** -- with ``shard_timeout`` set, the parallel executor arms a
   wall-clock deadline per in-flight shard; a worker that blows it is killed and
@@ -82,6 +90,7 @@ from repro.exec.planner import CampaignPlan, CampaignUnit, Shard, ShardPlanner, 
 from repro.exec.progress import ShardProgressReporter
 from repro.exec.retry import RetryPolicy
 from repro.exec.worker import shard_worker_loop
+from repro.io.columnar import ShardColumns, concat_fragment_columns
 
 __all__ = ["Executor", "SerialExecutor", "ParallelExecutor", "run_campaign",
            "resume_campaign"]
@@ -185,8 +194,8 @@ class Executor(abc.ABC):
 
     @abc.abstractmethod
     def _run_shards(self, tasks: list[_ShardTask],
-                    on_complete: Callable[[Shard, list[tuple[float, bool, str]]], None]) -> None:
-        """Evaluate every task, invoking ``on_complete(shard, rows)`` per shard."""
+                    on_complete: Callable[[Shard, ShardColumns], None]) -> None:
+        """Evaluate every task, invoking ``on_complete(shard, columns)`` per shard."""
 
     def map(self, fn: Callable[[Any], Any], iterable: Iterable[Any]) -> list[Any]:
         """Generic in-process task mapping (usable as the
@@ -340,11 +349,7 @@ class Executor(abc.ABC):
                     f"against a different space or seed")
 
         units_by_key = {u.key: u for u in units}
-        rows_by_shard: dict[int, list[tuple[float, bool, str]]] = {}
-        columns_by_shard: dict[int, tuple[np.ndarray, np.ndarray, list[str]]] = {}
-        configs_by_shard: dict[int, list[Mapping[str, Any]]] = {}
-        columnar_checkpoint = (checkpoint is not None
-                               and checkpoint.fragment_format == "columnar")
+        columns_by_shard: dict[int, ShardColumns] = {}
         tasks: list[_ShardTask] = []
         selected_shards: list[Shard] = []
         heal_notes: list[str] = []
@@ -354,14 +359,8 @@ class Executor(abc.ABC):
             selected_shards.append(shard)
             if shard.shard_id in done:
                 try:
-                    if columnar_checkpoint:
-                        # Columnar fragments stay columns end to end: no row
-                        # decode here, and none in the merge either when every
-                        # shard of the unit came off disk.
-                        columns_by_shard[shard.shard_id] = (
-                            checkpoint.load_shard_columns(shard))
-                    else:
-                        rows_by_shard[shard.shard_id] = checkpoint.load_shard(shard)
+                    columns_by_shard[shard.shard_id] = (
+                        checkpoint.load_shard_columns(shard))
                     continue
                 except SerializationError as exc:
                     # Heal instead of dying: a fragment that is damaged (or
@@ -391,19 +390,14 @@ class Executor(abc.ABC):
         for line in heal_notes:
             self._note(line)
 
-        def on_complete(shard: Shard, rows: list[tuple[float, bool, str]],
-                        configs: list[Mapping[str, Any]] | None = None) -> None:
-            if len(rows) != shard.n_configs:
+        def on_complete(shard: Shard, columns: ShardColumns) -> None:
+            if len(columns) != shard.n_configs:
                 raise ReproError(
-                    f"shard {shard.shard_id} returned {len(rows)} rows, "
+                    f"shard {shard.shard_id} returned {len(columns)} rows, "
                     f"expected {shard.n_configs}")
-            rows_by_shard[shard.shard_id] = rows
-            if configs is not None:
-                # In-process executors hand their decoded configurations through
-                # so the merge does not pay a second index decode.
-                configs_by_shard[shard.shard_id] = configs
+            columns_by_shard[shard.shard_id] = columns
             if checkpoint is not None:
-                path = checkpoint.save_shard(shard, rows)
+                path = checkpoint.save_shard(shard, columns)
                 if self.fault_plan is not None:
                     save_count = self._fragment_saves.get(shard.shard_id, 0)
                     self._fragment_saves[shard.shard_id] = save_count + 1
@@ -437,7 +431,7 @@ class Executor(abc.ABC):
             withheld = {(r["benchmark"], r["gpu"]) for r in self.quarantine}
             units = [u for u in units if u.key not in withheld]
         return self._merge(plan, units, benchmarks, gpus, indices_by_unit,
-                           rows_by_shard, configs_by_shard, columns_by_shard)
+                           columns_by_shard)
 
     # --------------------------------------------------------------------- merge
 
@@ -445,56 +439,28 @@ class Executor(abc.ABC):
     def _merge(plan: CampaignPlan, units: list[CampaignUnit],
                benchmarks: Mapping[str, Any], gpus: Mapping[str, Any],
                indices_by_unit: Mapping[tuple[str, str], np.ndarray],
-               rows_by_shard: Mapping[int, list[tuple[float, bool, str]]],
-               configs_by_shard: Mapping[int, list[Mapping[str, Any]]],
-               columns_by_shard: Mapping[int, tuple[np.ndarray, np.ndarray,
-                                                    list[str]]] | None = None,
+               columns_by_shard: Mapping[int, ShardColumns],
                ) -> dict[tuple[str, str], EvaluationCache]:
-        """Merge shard rows into campaign caches, in serial insertion order.
+        """Merge shard columns into campaign caches, in serial insertion order.
 
         ``plan.shards_of`` yields shards sorted by start offset -- evaluation
         order, never completion order -- which is what makes the merge (and the
         bytes of anything serialized from it) independent of scheduling.
 
-        A unit whose every shard was loaded as columnar fragment columns merges
-        without decoding a single row: the value/code columns are concatenated in
-        shard order with one error-table re-intern
-        (:func:`repro.io.columnar.concat_fragment_columns`) and adopted by the
-        cache wholesale.  Any freshly-executed shard in the unit falls back to
-        the per-row path, whose inserted observations are identical by
-        construction.
+        Every unit merges the same way, whether its shards ran in this run or
+        were loaded from a checkpoint: the shards' value/code columns are
+        concatenated in shard order with one error-table re-intern
+        (:func:`repro.io.columnar.concat_fragment_columns`) and attached to the
+        cache with the unit's space indices.  No row is decoded and no
+        observation is built.
         """
-        columns_by_shard = columns_by_shard or {}
         caches: dict[tuple[str, str], EvaluationCache] = {}
         for unit in units:
-            benchmark = benchmarks[unit.benchmark]
-            gpu = gpus[unit.gpu]
-            cache = benchmark.new_cache(gpu, sample_size=unit.sample_size)
-            indices = indices_by_unit[unit.key]
-            shards = plan.shards_of(unit)
-            if (columns_by_shard
-                    and all(s.shard_id in columns_by_shard for s in shards)):
-                from repro.io.columnar import concat_fragment_columns
-                values, codes, errors = concat_fragment_columns(
-                    [columns_by_shard[s.shard_id] for s in shards])
-                cache.attach_columns(indices, values, codes, errors)
-                caches[unit.key] = cache
-                continue
-            for shard in shards:
-                configs = configs_by_shard.get(shard.shard_id)
-                if configs is None:
-                    configs = benchmark.space.configs_at(
-                        indices[shard.start:shard.stop])
-                columns = columns_by_shard.get(shard.shard_id)
-                if columns is not None:
-                    from repro.io.columnar import decode_failure_strings
-                    col_values, col_codes, col_errors = columns
-                    valid, errors = decode_failure_strings(col_codes, col_errors)
-                    rows = list(zip(col_values.tolist(), valid.tolist(), errors))
-                else:
-                    rows = rows_by_shard[shard.shard_id]
-                for config, (value, valid, error) in zip(configs, rows):
-                    cache.add(config, value, valid=valid, error=error)
+            cache = benchmarks[unit.benchmark].new_cache(gpus[unit.gpu],
+                                                         sample_size=unit.sample_size)
+            values, codes, errors = concat_fragment_columns(
+                [columns_by_shard[s.shard_id].columns for s in plan.shards_of(unit)])
+            cache.attach_columns(indices_by_unit[unit.key], values, codes, errors)
             caches[unit.key] = cache
         return caches
 
@@ -520,8 +486,7 @@ class SerialExecutor(Executor):
             try:
                 if fault is not None:
                     raise fault.to_exception()
-                configs = task.benchmark.space.configs_at(task.indices)
-                rows = task.benchmark.evaluate_batch(
+                columns = task.benchmark.evaluate_batch(
                     task.gpu, task.indices, with_noise=task.unit.with_noise)
             except Exception as error:
                 delay = self._handle_shard_failure(task, error)
@@ -531,7 +496,7 @@ class SerialExecutor(Executor):
                     time.sleep(delay)
                 queue.appendleft(task)
                 continue
-            on_complete(task.shard, rows, configs)
+            on_complete(task.shard, columns)
 
 
 class _ShardWorker:

@@ -4,18 +4,19 @@ Shard workers never receive live benchmark objects: compiled constraint code obj
 (and the closures built on them) do not pickle, and shipping them would tie the
 protocol to one process-start method.  Instead a worker receives *names* and rebuilds
 the registries once per process in :func:`init_worker`; a shard task is then just
-``(benchmark_name, gpu_name, index_array, with_noise)`` and its result a list of
-``(value, valid, error)`` rows.  Custom benchmarks follow the same discipline one
-level up: they arrive as picklable *specs* (``"module:factory"`` plus JSON kwargs,
-see :class:`repro.core.registry.BenchmarkSpec`) and the worker builds them next to
-the built-in suite -- which is how runtime-registered and synthetic scenarios ride
-the parallel machinery.
+``(benchmark_name, gpu_name, index_array, with_noise)`` and its result the shard's
+value/code columns and error table (:class:`~repro.io.columnar.ShardColumns`), which
+pickle as three buffers rather than one tuple per row.  Custom benchmarks follow the
+same discipline one level up: they arrive as picklable *specs* (``"module:factory"``
+plus JSON kwargs, see :class:`repro.core.registry.BenchmarkSpec`) and the worker
+builds them next to the built-in suite -- which is how runtime-registered and
+synthetic scenarios ride the parallel machinery.
 
 Determinism: a rebuilt benchmark is value-identical to the parent's (the registries
 and spec factories are pure constructors), configurations are decoded from
 mixed-radix indices by the same columnar codec, and the noise model hashes with
 blake2b (process-stable, unlike ``hash()``).  A worker therefore returns exactly the
-rows the parent would have computed serially -- the byte-identity contract of
+columns the parent would have computed serially -- the byte-identity contract of
 :mod:`repro.exec.executors`.
 
 Two entry points share that machinery: :func:`evaluate_shard` is the plain task
@@ -23,7 +24,7 @@ function (used by the pool ``map`` path and callable in-process), and
 :func:`shard_worker_loop` is the long-lived pipe protocol the fault-tolerant
 :class:`~repro.exec.executors.ParallelExecutor` drives -- one worker process per
 slot, receiving ``(benchmark, gpu, indices, with_noise, fault)`` tuples and
-answering ``("ok", rows)`` or ``("error", type_name, message, transient)``.  A
+answering ``("ok", columns)`` or ``("error", type_name, message, transient)``.  A
 dedicated process per in-flight shard is what makes blame precise: a crash or hang
 can only ever belong to the one shard its worker was evaluating.
 
@@ -44,6 +45,7 @@ import numpy as np
 
 from repro.core.errors import ExecutionError, TransientExecutionError, is_transient
 from repro.exec.config import apply_memoize_threshold
+from repro.io.columnar import ShardColumns
 
 __all__ = ["init_worker", "evaluate_shard", "shard_worker_loop",
            "open_shared_cache"]
@@ -131,7 +133,7 @@ def _apply_worker_fault(fault: tuple[str, float]) -> None:
     if kind == "hang":
         time.sleep(hang_seconds)
         # Only reached when the hang outlasts its purpose (no shard timeout armed);
-        # fail transiently rather than hand back rows late.
+        # fail transiently rather than hand back columns late.
         raise TransientExecutionError(
             f"injected hang woke after {hang_seconds}s without being killed")
     if kind == "transient":
@@ -145,7 +147,7 @@ def evaluate_shard(benchmark_name: str, gpu_name: str,
                    indices: Sequence[int] | np.ndarray,
                    with_noise: bool = True,
                    fault: tuple[str, float] | None = None,
-                   ) -> list[tuple[float, bool, str]]:
+                   ) -> ShardColumns:
     """Evaluate one shard's configurations; the task function submitted to pools.
 
     Also callable in-process (it lazily initializes the registries), which is how the
@@ -171,7 +173,8 @@ def shard_worker_loop(conn: Any, memoize_threshold: int | None = None,
 
     * request: ``(benchmark_name, gpu_name, indices, with_noise, fault)`` --
       ``fault`` as in :func:`evaluate_shard`; or ``None`` to shut down cleanly.
-    * reply: ``("ok", rows)`` on success, or
+    * reply: ``("ok", columns)`` on success (a
+      :class:`~repro.io.columnar.ShardColumns`), or
       ``("error", type_name, message, transient)`` when evaluation raised -- the
       exception is *described*, not pickled, so arbitrary benchmark exceptions
       can never poison the pipe.
@@ -194,12 +197,12 @@ def shard_worker_loop(conn: Any, memoize_threshold: int | None = None,
             break
         benchmark_name, gpu_name, indices, with_noise, fault = request
         try:
-            rows = evaluate_shard(benchmark_name, gpu_name, indices,
-                                  with_noise=with_noise, fault=fault)
+            columns = evaluate_shard(benchmark_name, gpu_name, indices,
+                                     with_noise=with_noise, fault=fault)
         except Exception as exc:
             reply = ("error", type(exc).__name__, str(exc), is_transient(exc))
         else:
-            reply = ("ok", rows)
+            reply = ("ok", columns)
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):  # pragma: no cover - parent died

@@ -65,6 +65,7 @@ from repro.gpus.memory import MemoryTraffic, dram_time_ms
 from repro.gpus.noise import config_noises
 from repro.gpus.occupancy import OccupancyColumns, OccupancyResult, occupancy_columns
 from repro.gpus.specs import GPUSpec
+from repro.io.columnar import encode_sparse_failure_codes
 
 __all__ = [
     "KernelLaunchConfig",
@@ -192,14 +193,19 @@ class ModelColumns(NamedTuple):
     memory_time_ms: np.ndarray
     factors: dict[str, np.ndarray]
 
-    def results(self) -> list[tuple[float, bool, str]]:
-        """``(value, valid, error)`` per row, the shape campaign caches store."""
-        values = np.full(len(self.stage.spill_fraction), math.inf)
+    def cache_columns(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """``(values, codes, errors)`` of the block: the columns campaign caches store.
+
+        Launchable rows are valid with the empty error string; every other row holds
+        ``inf`` and its launch error, interned as
+        :func:`repro.io.columnar.encode_failure_codes` interns the same rows.
+        """
+        n = len(self.stage.spill_fraction)
+        values = np.full(n, math.inf)
         values[self.rows] = self.time_ms
-        out = [(value, True, "") for value in values.tolist()]
-        for i, error in self.stage.errors.items():
-            out[i] = (math.inf, False, str(error))
-        return out
+        codes, errors = encode_sparse_failure_codes(
+            n, {row: str(error) for row, error in self.stage.errors.items()})
+        return values, codes, errors
 
     def estimate(self, i: int = 0) -> ModelEstimate:
         """Row ``i`` as a :class:`ModelEstimate` (raises if it cannot launch)."""

@@ -12,24 +12,25 @@ configurations that are themselves present in the cache (for exhaustive caches t
 the true neighbourhood; for sampled caches it is the induced subgraph, which is how the
 metric degrades gracefully when exhaustive data is unavailable).
 
-Construction is pure index arithmetic: every cached configuration becomes one
-mixed-radix index, and the Hamming-1 neighbours along a parameter are the index plus a
-digit offset times that parameter's place value.  Candidate neighbour indices for *all*
-nodes and all values of a parameter form one ``(n, v)`` matrix that is resolved against
-the sorted node-index table with a single :func:`numpy.searchsorted` -- no per-config
-dictionaries, no Python inner loops.
+Construction is pure index arithmetic: every cached configuration is one mixed-radix
+index (read straight off a column-backed cache), and the Hamming-1 neighbours along a
+parameter are the index plus a digit offset times that parameter's place value.
+Candidate neighbour indices for *all* nodes and all values of a parameter form one
+``(n, v)`` matrix that is resolved against the sorted node-index table with a single
+:func:`numpy.searchsorted` -- no per-config dictionaries, no Python inner loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from repro.core.cache import EvaluationCache
 from repro.core.errors import InvalidConfigurationError, ReproError
+from repro.core.result import LazyConfig
 from repro.core.searchspace import config_key
 
 __all__ = ["FitnessFlowGraph", "build_ffg"]
@@ -47,14 +48,15 @@ class FitnessFlowGraph:
     fitness:
         Runtime of each node (lower is better).
     configs:
-        The configuration dictionary of each node.
+        The configuration of each node (a :class:`~repro.core.result.LazyConfig`
+        decoded on access when the graph was built from space indices).
     benchmark / gpu:
         Provenance of the underlying cache.
     """
 
     adjacency: sparse.csr_matrix
     fitness: np.ndarray
-    configs: list[dict[str, Any]]
+    configs: Sequence[Mapping[str, Any]]
     benchmark: str = ""
     gpu: str = ""
 
@@ -97,13 +99,12 @@ class FitnessFlowGraph:
         return minima[self.fitness[minima] <= threshold]
 
 
-def _edges_vectorized(space: Any, configs: list[dict[str, Any]],
+def _edges_vectorized(space: Any, node_index: np.ndarray,
                       fitness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Improvement edges by digit-offset arithmetic against a sorted index table."""
-    n = len(configs)
-    digits = space.digits_of_configs(configs)
+    n = node_index.size
+    digits = space.indices_to_digits(node_index)
     places = np.asarray(space.place_values, dtype=np.int64)
-    node_index = space.digits_to_indices(digits)
 
     order = np.argsort(node_index, kind="stable")
     sorted_index = node_index[order]
@@ -130,7 +131,7 @@ def _edges_vectorized(space: Any, configs: list[dict[str, Any]],
     return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
-def _edges_scalar(space: Any, configs: list[dict[str, Any]],
+def _edges_scalar(space: Any, configs: Sequence[Mapping[str, Any]],
                   fitness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reference hash-map construction (kept for caches whose configurations are not
     members of the space's Cartesian product, and as the benchmark baseline)."""
@@ -170,21 +171,26 @@ def build_ffg(cache: EvaluationCache, method: str = "auto") -> FitnessFlowGraph:
     """
     if method not in ("auto", "vector", "scalar"):
         raise ReproError(f"unknown FFG build method {method!r}")
-    configs, fitness = cache.valid_arrays()
-    if not configs:
+    fitness = cache.values()
+    if not fitness.size:
         raise ReproError(f"cache {cache.benchmark}/{cache.gpu} has no valid entries")
 
-    if method == "scalar":
-        rows, cols = _edges_scalar(cache.space, configs, fitness)
-    else:
+    space = cache.space
+    node_index = None
+    if method != "scalar":
         try:
-            rows, cols = _edges_vectorized(cache.space, configs, fitness)
+            node_index = cache.valid_indices()
         except InvalidConfigurationError:
             if method == "vector":
                 raise
-            rows, cols = _edges_scalar(cache.space, configs, fitness)
+    if node_index is None:
+        configs: Sequence[Mapping[str, Any]] = cache.configs()
+        rows, cols = _edges_scalar(space, configs, fitness)
+    else:
+        rows, cols = _edges_vectorized(space, node_index, fitness)
+        configs = [LazyConfig(space, index) for index in node_index.tolist()]
 
-    n = len(configs)
+    n = fitness.size
     adjacency = sparse.csr_matrix(
         (np.ones(len(rows), dtype=np.float64), (rows, cols)), shape=(n, n))
     return FitnessFlowGraph(adjacency=adjacency, fitness=fitness, configs=configs,

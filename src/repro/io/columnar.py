@@ -68,7 +68,7 @@ import os
 import struct
 import uuid
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -76,9 +76,9 @@ from repro.core.errors import FragmentIntegrityError, SerializationError
 
 __all__ = [
     "COLUMNAR_MAGIC", "COLUMNAR_VERSION", "COLUMNAR_SUFFIX",
-    "ColumnarPayload", "cache_digest",
+    "ColumnarPayload", "ShardColumns", "cache_digest",
     "write_columnar", "read_columnar", "peek_columnar_header",
-    "encode_failure_codes", "decode_failure_strings",
+    "encode_failure_codes", "encode_sparse_failure_codes", "decode_failure_strings",
     "save_columnar_fragment", "load_columnar_fragment",
     "load_columnar_fragment_columns", "concat_fragment_columns",
 ]
@@ -137,6 +137,31 @@ def encode_failure_codes(valid: Sequence[bool], errors: Sequence[str]
     return codes, list(table)
 
 
+def encode_sparse_failure_codes(n: int, failures: Mapping[int, str]
+                                ) -> tuple[np.ndarray, list[str]]:
+    """:func:`encode_failure_codes` of ``n`` rows given only their failures.
+
+    Every row is valid with the empty error string except the rows in
+    ``failures`` (row -> error string).  The code column and the table equal what
+    :func:`encode_failure_codes` builds for the same rows, at one Python step per
+    failed row instead of one per row.
+    """
+    failed = sorted(failures)
+    valid = np.ones(n, dtype=bool)
+    valid[failed] = False
+    first_valid = int(np.argmax(valid)) if valid.any() else n
+    table: dict[str, int] = {}
+    for row in failed:
+        if row > first_valid:
+            table.setdefault("", len(table))
+        table.setdefault(failures[row], len(table))
+    if first_valid < n:
+        table.setdefault("", len(table))
+    codes = np.full(n, -table.get("", 0) - 1, dtype=np.int32)
+    codes[failed] = [table[failures[row]] for row in failed]
+    return codes, list(table)
+
+
 def decode_failure_strings(codes: np.ndarray, table: Sequence[str]
                            ) -> tuple[np.ndarray, list[str]]:
     """Inverse of :func:`encode_failure_codes`: ``(valid, errors)`` per row."""
@@ -149,6 +174,48 @@ def decode_failure_strings(codes: np.ndarray, table: Sequence[str]
             f"interned table of {len(table)} entries")
     table = list(table)
     return valid, [table[slot] for slot in slots.tolist()]
+
+
+class ShardColumns:
+    """One shard's measurements as fragment columns: ``values``, ``codes``, ``errors``.
+
+    ``codes`` packs validity and error string into one int32 per row, interned by
+    first occurrence exactly as :func:`encode_failure_codes` does, so shard columns
+    concatenate into a unit cache without decoding a row
+    (:func:`concat_fragment_columns`).  This is what
+    :meth:`~repro.kernels.base.KernelBenchmark.evaluate_batch` returns, what shard
+    workers send over their pipe and what checkpoints persist.
+
+    The object also reads as a sized iterable of ``(value, valid, error)`` rows,
+    decoded on iteration, for row-shaped consumers such as JSON fragments.
+    """
+
+    __slots__ = ("values", "codes", "errors")
+
+    def __init__(self, values: np.ndarray, codes: np.ndarray, errors: Sequence[str]):
+        self.values = np.asarray(values, dtype=float)
+        self.codes = np.asarray(codes, dtype=np.int32)
+        self.errors = list(errors)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple[float, bool, str]]) -> "ShardColumns":
+        """Columns of ``(value, valid, error)`` rows (the JSON-fragment shape)."""
+        codes, errors = encode_failure_codes([valid for _, valid, _ in rows],
+                                             [error for _, _, error in rows])
+        return cls(np.asarray([value for value, _, _ in rows], dtype=float),
+                   codes, errors)
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """The ``(values, codes, errors)`` triple :func:`concat_fragment_columns` takes."""
+        return self.values, self.codes, self.errors
+
+    def __len__(self) -> int:
+        return int(self.values.size)
+
+    def __iter__(self) -> Iterator[tuple[float, bool, str]]:
+        valid, errors = decode_failure_strings(self.codes, self.errors)
+        return zip(self.values.tolist(), valid.tolist(), errors)
 
 
 # --------------------------------------------------------------------- writing
@@ -273,13 +340,6 @@ class ColumnarPayload:
         self.errors = list(header.get("errors", ()))
         self.row_count = int(header["row_count"])
 
-    def decoded_rows(self) -> list[tuple[float, bool, str]]:
-        """The ``(value, valid, error)`` triples JSON fragments traffic in."""
-        valid, errors = decode_failure_strings(self.columns["code"], self.errors)
-        values = self.columns["value"]
-        return [(float(value), bool(ok), error)
-                for value, ok, error in zip(values.tolist(), valid.tolist(), errors)]
-
 
 def peek_columnar_header(path: str | Path) -> dict[str, Any]:
     """Parse a columnar file's header without verifying column checksums.
@@ -392,27 +452,25 @@ def read_columnar(path: str | Path, mmap: bool = True,
 
 
 def save_columnar_fragment(path: str | Path, shard: Mapping[str, Any],
-                           rows: Sequence[tuple[float, bool, str]]) -> Path:
+                           rows: ShardColumns | Sequence[tuple[float, bool, str]]
+                           ) -> Path:
     """Columnar twin of :func:`repro.io.cachefile.save_fragment`.
 
     Same row semantics (``+inf`` failure sentinel only), same atomicity, but the
     rows land as fixed-width value/code columns so a merge never decodes them.
+    :class:`ShardColumns` are written as they are; row sequences are encoded first.
     """
-    values = np.asarray([value for value, _, _ in rows], dtype=float)
-    codes, errors = encode_failure_codes([valid for _, valid, _ in rows],
-                                         [error for _, _, error in rows])
+    columns = rows if isinstance(rows, ShardColumns) else ShardColumns.from_rows(rows)
     return write_columnar(path, "fragment", {"shard": dict(shard)},
-                          {"value": values, "code": codes}, errors)
+                          {"value": columns.values, "code": columns.codes},
+                          columns.errors)
 
 
 def load_columnar_fragment(path: str | Path, verify: bool = True
                            ) -> tuple[dict[str, Any], list[tuple[float, bool, str]]]:
     """Columnar twin of :func:`repro.io.cachefile.load_fragment` (same contract)."""
-    payload = read_columnar(path, mmap=False, verify=verify)
-    if payload.kind != "fragment":
-        raise SerializationError(
-            f"{path} is a columnar {payload.kind} file, not a fragment")
-    return dict(payload.header.get("shard", {})), payload.decoded_rows()
+    shard, values, codes, errors = load_columnar_fragment_columns(path, verify=verify)
+    return shard, list(ShardColumns(values, codes, errors))
 
 
 def load_columnar_fragment_columns(path: str | Path, verify: bool = True

@@ -22,6 +22,7 @@ from repro.core.searchspace import SearchSpace
 from repro.gpus.columns import ConfigColumns
 from repro.gpus.perfmodel import AnalyticalKernelModel, ModelEstimate
 from repro.gpus.specs import GPUSpec
+from repro.io.columnar import ShardColumns, concat_fragment_columns
 
 __all__ = ["Workload", "KernelBenchmark"]
 
@@ -161,23 +162,27 @@ class KernelBenchmark:
         return self.model.estimate(config, gpu, with_noise=with_noise)
 
     def evaluate_batch(self, gpu: GPUSpec, indices: np.ndarray | Sequence[int],
-                       with_noise: bool = True) -> list[tuple[float, bool, str]]:
-        """Evaluate the configurations at many space indices: ``(value, valid, error)`` rows.
+                       with_noise: bool = True) -> ShardColumns:
+        """Evaluate the configurations at many space indices, as cache columns.
 
         This is the batched kernel-model call shared by :meth:`build_cache` and the
         shard workers of :mod:`repro.exec`: the model evaluates each block of
         indices as value columns in one pass, and configurations that cannot launch
-        on the device become ``(inf, False, reason)`` rows, exactly the shape
-        :meth:`~repro.core.cache.EvaluationCache.add` stores.  Keeping the loop (and
-        in particular the error strings) in one place is what makes parallel shard
-        evaluation byte-identical to the serial path.
+        on the device get ``inf`` and a failure code into the interned error table.
+        The blocks' columns concatenate into one
+        :class:`~repro.io.columnar.ShardColumns` -- the exact columns
+        :meth:`~repro.core.cache.EvaluationCache.attach_columns` adopts -- and no
+        per-row tuple is built.  Keeping the loop (and in particular the error
+        strings) in one place is what makes parallel shard evaluation
+        byte-identical to the serial path.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        rows: list[tuple[float, bool, str]] = []
+        blocks = []
         for start in range(0, len(indices), _BLOCK):
             block = ConfigColumns.from_indices(self.space, indices[start:start + _BLOCK])
-            rows += self.model.estimate_columns(block, gpu, with_noise=with_noise).results()
-        return rows
+            blocks.append(self.model.estimate_columns(
+                block, gpu, with_noise=with_noise).cache_columns())
+        return ShardColumns(*concat_fragment_columns(blocks))
 
     def new_cache(self, gpu: GPUSpec, sample_size: int | None = None) -> EvaluationCache:
         """An empty campaign cache with the canonical metadata for this benchmark.
@@ -215,9 +220,8 @@ class KernelBenchmark:
         else:
             indices = self.space.sample_indices(sample_size, rng=seed, valid_only=True,
                                                 unique=True)
-        rows = self.evaluate_batch(gpu, indices, with_noise=with_noise)
-        for config, (value, valid, error) in zip(self.space.configs_at(indices), rows):
-            cache.add(config, value, valid=valid, error=error)
+        columns = self.evaluate_batch(gpu, indices, with_noise=with_noise)
+        cache.attach_columns(indices, *columns.columns)
         return cache
 
     # ------------------------------------------------------------------ reference

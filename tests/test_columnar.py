@@ -37,6 +37,7 @@ from repro.io.columnar import (
     concat_fragment_columns,
     decode_failure_strings,
     encode_failure_codes,
+    encode_sparse_failure_codes,
     load_columnar_fragment,
     load_columnar_fragment_columns,
     peek_columnar_header,
@@ -219,6 +220,22 @@ class TestIntegrity:
         with pytest.raises(FragmentIntegrityError):
             decode_failure_strings(np.array([5], dtype=np.int32), ["only-slot"])
 
+    def test_attach_rejects_misaligned_columns(self, campaign_cache):
+        # Misaligned columns must fail when attached, not later as an
+        # IndexError inside the observation materialisation.
+        cache = EvaluationCache("b", "g", campaign_cache.space)
+        with pytest.raises(FragmentIntegrityError, match="misaligned"):
+            cache.attach_columns(np.arange(10), np.ones(7),
+                                 np.full(7, -1, dtype=np.int32), [""])
+        assert len(cache) == 0
+
+    @pytest.mark.parametrize("code", [1, -2])
+    def test_attach_rejects_codes_outside_error_table(self, campaign_cache, code):
+        cache = EvaluationCache("b", "g", campaign_cache.space)
+        with pytest.raises(FragmentIntegrityError, match="failure code"):
+            cache.attach_columns(np.arange(3), np.ones(3),
+                                 np.array([-1, code, -1], dtype=np.int32), [""])
+
 
 class TestFragmentsAndMerge:
     def _rows(self, seed, n=25):
@@ -380,6 +397,30 @@ class TestHypothesisFuzz:
             path.unlink()
 
         round_trips()
+
+    def test_sparse_failure_codes_match_row_encoding(self):
+        # The perf model encodes a block from its failed rows alone; the codes and
+        # the interned table must equal the row-by-row encoding of the same rows.
+        hypothesis = pytest.importorskip("hypothesis")
+        given, settings, st = (hypothesis.given, hypothesis.settings,
+                               hypothesis.strategies)
+        errors = st.sampled_from(["", "oom", "timeout", "制約違反"])
+
+        @settings(max_examples=200, deadline=None)
+        @given(n=st.integers(min_value=0, max_value=30), data=st.data())
+        def matches(n, data):
+            failed = data.draw(st.lists(st.integers(0, max(n - 1, 0)), unique=True,
+                                        max_size=n))
+            failures = {row: data.draw(errors) for row in failed}
+            codes, table = encode_sparse_failure_codes(n, failures)
+            want_codes, want_table = encode_failure_codes(
+                [row not in failures for row in range(n)],
+                [failures.get(row, "") for row in range(n)])
+            assert table == want_table
+            assert codes.dtype == want_codes.dtype
+            assert codes.tolist() == want_codes.tolist()
+
+        matches()
 
     def test_rejects_nan_and_negative_infinity(self, tmp_path):
         for poison in (float("nan"), float("-inf")):

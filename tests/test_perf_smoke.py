@@ -293,3 +293,43 @@ def test_evaluate_batch_makes_no_per_config_model_calls(benchmarks, gpu_3090, na
     assert calls == {"stable_hash": 0, "estimate": 0}, (
         f"evaluate_batch over a 2 500-index shard made per-config calls {calls}; "
         f"the column perf model has regressed to a per-row loop")
+
+
+def test_campaign_caches_stay_columns_through_the_analyses(benchmarks, gpus,
+                                                           monkeypatch):
+    # Counts, not a wall-clock ceiling: shard columns reach the merged caches
+    # without a per-row insert, and the accessors the analyses use read those
+    # columns, so neither EvaluationCache.add nor the materialisation of the
+    # observation dictionary may run even once.  A regression to the per-row
+    # merge, or an accessor that falls back to observations, fails here
+    # deterministically.
+    from repro.core.cache import EvaluationCache
+    from repro.exec import SerialExecutor, run_campaign
+
+    calls = {"add": 0, "_materialize": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(EvaluationCache, name,
+                            counted(name, getattr(EvaluationCache, name)))
+    caches = run_campaign(
+        benchmarks={name: benchmarks[name] for name in ("hotspot", "expdist")},
+        gpus={"RTX_3090": gpus["RTX_3090"]}, sample_size=300, shard_size=100,
+        executor=SerialExecutor())
+    assert len(caches) == 2
+    for cache in caches.values():
+        assert cache.values().size == cache.num_valid > 0
+        assert cache.median() >= cache.optimum()
+        best = cache.best()
+        X, y = cache.to_feature_matrix()
+        assert X.shape == (cache.num_valid, cache.space.dimensions) and y.size == X.shape[0]
+        assert build_ffg(cache).num_nodes == cache.num_valid
+        assert cache.get(best.config) == best
+    assert calls == {"add": 0, "_materialize": 0}, (
+        f"a two-unit campaign plus its analyses made {calls}; the merge or a "
+        f"cache accessor has regressed to per-row observations")
